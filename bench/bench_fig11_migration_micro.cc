@@ -10,8 +10,6 @@
 // Expected shape: for reads MTM wins big (~40% over move_pages, ~23% over
 // Nimble in the paper); for writes the fallback makes MTM perform like the
 // synchronous mechanisms.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -41,7 +39,7 @@ struct Pattern {
 // Migrates `total` bytes in 2 MiB regions from src to dst while an access
 // pattern runs; returns exposed migration nanoseconds.
 SimNanos RunCase(MechanismKind kind, ComponentId src, ComponentId dst, double write_fraction,
-                 u64 scale, u32 migrate_threads = 1) {
+                 u64 scale) {
   Machine machine = Machine::OptaneFourTier(scale);
   SimClock clock;
   PageTable page_table;
@@ -58,7 +56,6 @@ SimNanos RunCase(MechanismKind kind, ComponentId src, ComponentId dst, double wr
   MTM_CHECK(frames.Reserve(src, total).ok());
 
   MigrationEngine migration(machine, page_table, frames, address_space, counters, clock, kind);
-  migration.set_migrate_threads(migrate_threads);
   engine.set_write_track_observer(&migration);
 
   Rng rng(7);
@@ -119,40 +116,5 @@ int main() {
   std::printf("expected shape: MTM ~40%%/~23%% better than move_pages/Nimble for reads;\n"
               "write-heavy patterns trigger the sync fallback and MTM performs like the "
               "synchronous mechanisms.\n");
-
-  // Async-copy overlap: the --migrate-threads sweep. Helper threads only
-  // accelerate the host (the staged shard copies run while the simulation
-  // loop keeps executing accesses); simulated time is a deterministic
-  // function of the workload and must not move by a nanosecond.
-  std::printf("\nasync copy overlap (move_memory_regions, tier1->tier4, 10%% writes)\n");
-  {
-    ComponentId t4 = machine.TierOrder(0)[3];
-    const u64 sweep_scale = 16;  // 64 MiB array: enough copy work to time
-    benchutil::Table table({"migrate_threads", "host wall (ms)", "sim migration (ms)"});
-    SimNanos serial_sim{};
-    bool sim_identical = true;
-    for (u32 threads : {1u, 2u, 4u, 8u}) {
-      double best_wall = 1e300;
-      SimNanos sim{};
-      for (int rep = 0; rep < 3; ++rep) {
-        // mtm-analyze: allow(wall-clock) the sweep measures host overlap by design
-        auto wall_start = std::chrono::steady_clock::now();
-        sim = RunCase(MechanismKind::kMoveMemoryRegions, t1, t4, 0.1, sweep_scale, threads);
-        std::chrono::duration<double, std::milli> wall =
-            // mtm-analyze: allow(wall-clock) host-side timing of the same sweep
-            std::chrono::steady_clock::now() - wall_start;
-        best_wall = std::min(best_wall, wall.count());
-      }
-      if (threads == 1) {
-        serial_sim = sim;
-      }
-      sim_identical = sim_identical && sim == serial_sim;
-      table.AddRow({benchutil::FmtU(threads), benchutil::Fmt("%.2f", best_wall),
-                    benchutil::Fmt("%.3f", ToMillis(sim))});
-    }
-    table.Print();
-    std::printf("sim migration ns across the sweep: %s\n",
-                sim_identical ? "identical (deterministic)" : "MISMATCH — determinism bug!");
-  }
   return 0;
 }

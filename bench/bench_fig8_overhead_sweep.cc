@@ -68,27 +68,5 @@ int main() {
   table.Print();
   std::printf("expected shape: best total around the 5%% target; 10%% pays more profiling "
               "than it recovers (paper: +7%% from 5%% to 10%%)\n");
-
-  // Host-side cost of the sharded scan engine at the paper's 5%% target:
-  // identical simulated results (byte-determinism), different wall time.
-  std::printf("\n");
-  benchutil::Table wall_table({"scan-threads", "scan wall mean(µs)", "scan wall max(µs)"});
-  for (u32 threads : {1u, 8u}) {
-    ExperimentConfig config = benchutil::DefaultConfig();
-    config.interval_ns = Seconds(5) / config.sim_scale;
-    config.mtm.overhead_fraction = 0.05;
-    config.mtm.scan_threads = threads;
-    Observability obs;
-    obs.wall_timers = true;
-    RunOptions options;
-    options.obs = &obs;
-    RunExperiment("voltdb", SolutionKind::kMtm, config, options);
-    const RunningStats& scan = WallHist(obs, "wall/scan_tick");
-    wall_table.AddRow({benchutil::FmtU(threads), benchutil::Fmt("%.1f", scan.mean()),
-                       benchutil::Fmt("%.1f", scan.max())});
-  }
-  wall_table.Print();
-  std::printf("wall timers are host-clock (MTM_TRACE_SCOPE); simulated output is "
-              "byte-identical across scan-thread counts\n");
   return 0;
 }

@@ -7,7 +7,6 @@
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/mem/address_space.h"
@@ -67,53 +66,10 @@ void BM_FullTableScan(benchmark::State& state) {
 }
 BENCHMARK(BM_FullTableScan)->Arg(64)->Arg(256);
 
-void BM_ShardedPteScanThroughput(benchmark::State& state) {
-  // Bench analogue of MtmProfiler::ScanSampledPages: a sampled-page list
-  // partitioned into num_threads*4 contiguous shards, each scanned on a
-  // worker, hit counts merged afterwards. Compare Arg(1) against Arg(8)
-  // for the parallel-engine speedup on a multi-core runner.
-  PageTable pt;
-  const u64 pages = 1 << 18;
-  MTM_CHECK(pt.MapRange(kBase, PagesToBytes(pages), ComponentId(0), false).ok());
-  // Every 4th page sampled, like an Equation-1 budget over a warm region set.
-  std::vector<VirtAddr> sampled;
-  for (u64 page = 0; page < pages; page += 4) {
-    sampled.push_back(kBase + PagesToBytes(page));
-  }
-  const u32 threads = static_cast<u32>(state.range(0));
-  ThreadPool pool(threads);
-  const std::size_t shards = static_cast<std::size_t>(threads) * 4;
-  std::vector<u64> shard_hits(shards, 0);
-  for (auto _ : state) {
-    pool.ParallelFor(shards, [&](std::size_t s) {
-      const std::size_t begin = sampled.size() * s / shards;
-      const std::size_t end = sampled.size() * (s + 1) / shards;
-      u64 hits = 0;
-      bool accessed = false;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (pt.ScanAccessed(sampled[i], &accessed) && accessed) {
-          ++hits;
-        }
-      }
-      shard_hits[s] = hits;
-    });
-    u64 total = 0;
-    for (u64 h : shard_hits) {
-      total += h;
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
-                          static_cast<i64>(sampled.size()));
-}
-BENCHMARK(BM_ShardedPteScanThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
 void BM_AsyncCopyStage(benchmark::State& state) {
   // Bench analogue of one move_memory_regions staging window (DESIGN.md
-  // §14): snapshot a 64 MiB region of huge pages, Begin dispatches the copy
-  // shards to helper threads, Join merges the task-indexed checksums in
-  // shard order. Arg is the AsyncCopyEngine thread count; compare Arg(1)
-  // (inline copy at Begin) against Arg(8) for the overlap win.
+  // §14): CopyRegion over a 64 MiB snapshot of huge pages, folding the
+  // per-shard checksums in shard order.
   const u64 huge_pages = 32;
   std::vector<PageCopyRecord> pages;
   Rng rng(9);
@@ -121,16 +77,14 @@ void BM_AsyncCopyStage(benchmark::State& state) {
     pages.push_back(PageCopyRecord{kBase + h * kHugePageSize, kHugePageBytes, ComponentId(2),
                                    rng.Next()});
   }
-  AsyncCopyEngine engine(static_cast<u32>(state.range(0)));
   for (auto _ : state) {
-    AsyncCopyEngine::Ticket ticket = engine.Begin(pages);
-    RegionCopyResult result = engine.Join(ticket);
+    RegionCopyResult result = CopyRegion(pages);
     benchmark::DoNotOptimize(result.checksum);
   }
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(huge_pages * kHugePageSize));
 }
-BENCHMARK(BM_AsyncCopyStage)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_AsyncCopyStage);
 
 // ROADMAP question: do the VirtAddr/Bytes strong-type wrappers inhibit
 // vectorization of the scan hot loop's address arithmetic? The two loops

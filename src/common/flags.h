@@ -1,12 +1,16 @@
 // Minimal command-line flag parsing for the tools: --key=value and --key
-// boolean forms. No global registry; call sites query by name.
+// boolean forms. No global registry; call sites query by name. The set
+// remembers which names were queried and which numeric values failed to
+// parse, so a tool can reject what it did not understand (Check).
 #pragma once
 
 #include <cstdlib>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/types.h"
 
 namespace mtm {
@@ -30,7 +34,8 @@ class FlagSet {
     }
   }
 
-  std::optional<std::string> Get(const std::string& name) const {
+  std::optional<std::string> Get(const std::string& name) {
+    queried_.insert(name);
     for (const auto& [key, value] : flags_) {
       if (key == name) {
         return value;
@@ -39,21 +44,31 @@ class FlagSet {
     return std::nullopt;
   }
 
-  std::string GetString(const std::string& name, const std::string& fallback) const {
+  std::string GetString(const std::string& name, const std::string& fallback) {
     return Get(name).value_or(fallback);
   }
 
-  u64 GetU64(const std::string& name, u64 fallback) const {
+  u64 GetU64(const std::string& name, u64 fallback) {
     auto v = Get(name);
-    return v ? std::strtoull(v->c_str(), nullptr, 10) : fallback;
+    if (!v) {
+      return fallback;
+    }
+    char* end = nullptr;
+    const u64 parsed = std::strtoull(v->c_str(), &end, 10);
+    return Parsed(name, *v, end) ? parsed : fallback;
   }
 
-  double GetDouble(const std::string& name, double fallback) const {
+  double GetDouble(const std::string& name, double fallback) {
     auto v = Get(name);
-    return v ? std::strtod(v->c_str(), nullptr) : fallback;
+    if (!v) {
+      return fallback;
+    }
+    char* end = nullptr;
+    const double parsed = std::strtod(v->c_str(), &end);
+    return Parsed(name, *v, end) ? parsed : fallback;
   }
 
-  bool GetBool(const std::string& name, bool fallback) const {
+  bool GetBool(const std::string& name, bool fallback) {
     auto v = Get(name);
     if (!v) {
       return fallback;
@@ -63,9 +78,35 @@ class FlagSet {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // Fails on the first flag no getter asked for and on the first numeric
+  // value that did not parse. Call after the last query.
+  Status Check() const {
+    for (const auto& [key, value] : flags_) {
+      if (queried_.count(key) == 0) {
+        return InvalidArgumentError("unknown flag --" + key);
+      }
+    }
+    if (!malformed_.empty()) {
+      return InvalidArgumentError("not a number: " + malformed_.front());
+    }
+    return OkStatus();
+  }
+
  private:
+  // True when strto* consumed all of a non-empty `value`; otherwise records
+  // the flag as malformed.
+  bool Parsed(const std::string& name, const std::string& value, const char* end) {
+    if (!value.empty() && *end == '\0') {
+      return true;
+    }
+    malformed_.push_back("--" + name + "=" + value);
+    return false;
+  }
+
   std::vector<std::pair<std::string, std::string>> flags_;
   std::vector<std::string> positional_;
+  std::set<std::string> queried_;
+  std::vector<std::string> malformed_;
 };
 
 }  // namespace mtm

@@ -2,6 +2,8 @@
 //
 // Modeled after absl::Status but self-contained: os-systems code in this
 // repository never throws; fallible operations return Status or Result<T>.
+// Both are [[nodiscard]]: a caller that drops one on purpose casts it to
+// (void) next to a comment saying why.
 #pragma once
 
 #include <optional>
@@ -28,7 +30,7 @@ enum class StatusCode {
 
 const char* StatusCodeName(StatusCode code);
 
-class Status {
+class [[nodiscard]] Status {
  public:
   Status() : code_(StatusCode::kOk) {}
   Status(StatusCode code, std::string message) : code_(code), message_(std::move(message)) {}
@@ -94,7 +96,7 @@ inline bool IsDeadlineExceeded(const Status& s) {
 
 // Result<T> holds either a value or a non-OK Status.
 template <typename T>
-class Result {
+class [[nodiscard]] Result {
  public:
   Result(T value) : value_(std::move(value)) {}  // NOLINT: implicit by design
   Result(Status status) : status_(std::move(status)) {  // NOLINT: implicit by design

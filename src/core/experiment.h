@@ -28,13 +28,6 @@ struct MtmKnobs {
   bool adaptive_sampling = true;  // APS ablation
   bool overhead_control = true;   // OC ablation
   bool use_pebs = true;           // PEBS-assist ablation
-  // Worker threads for the sharded PTE-scan engine. Purely a host-side
-  // speedup: every value yields byte-identical simulation output.
-  u32 scan_threads = 1;
-  // Helper threads for the move_memory_regions copy stage (the engine of
-  // src/migration/async_copy.h). Same discipline as scan_threads: purely a
-  // host-side speedup, byte-identical simulation output for every value.
-  u32 migrate_threads = 1;
   MechanismKind mechanism = MechanismKind::kMoveMemoryRegions;  // kMmrSync: w/o async
   // Admission controller gating migration orders (src/migration/admission).
   // vanilla admits everything and is byte-identical to the pre-admission

@@ -65,7 +65,7 @@ std::string HumanReport(const RunResult& r) {
      << r.migration_stats.sync_fallbacks << " sync fallbacks, "
      << r.migration_stats.reclaim_demotions << " reclaim demotions\n";
   if (r.migration_stats.async_copies > 0 || r.migration_stats.sync_fallbacks > 0) {
-    // Helper-thread copy engine accounting (move_memory_regions only).
+    // Staged-copy accounting (move_memory_regions only).
     os << "  async copy: " << r.migration_stats.async_copies << " staged commits ("
        << r.migration_stats.copy_shards << " shards, "
        << ToMiB(r.migration_stats.async_copy_bytes) << " MiB), "

@@ -150,7 +150,6 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
       pc.adaptive_sampling = config.mtm.adaptive_sampling;
       pc.overhead_control = config.mtm.overhead_control;
       pc.use_pebs = config.mtm.use_pebs;
-      pc.scan_threads = config.mtm.scan_threads;
       pc.seed = config.seed ^ 0x5151;
       profiler_ = std::make_unique<MtmProfiler>(*machine_, page_table_, address_space_,
                                                 *engine_, pebs_.get(), pc);
@@ -266,7 +265,6 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
   }
   migration_ = std::make_unique<MigrationEngine>(*machine_, page_table_, *frames_,
                                                  address_space_, *counters_, clock_, mech);
-  migration_->set_migrate_threads(config.mtm.migrate_threads);
   engine_->set_write_track_observer(migration_.get());
   if (fault_injector() != nullptr) {
     migration_->set_fault_injector(fault_injector());

@@ -1,7 +1,5 @@
 #include "src/migration/async_copy.h"
 
-#include "src/common/logging.h"
-
 namespace mtm {
 namespace {
 
@@ -19,8 +17,8 @@ constexpr u64 kCacheLineBytes = 64;
 
 u64 CopyPageContent(const PageCopyRecord& page) {
   // Expand the payload word into the page's cache lines and fold them: the
-  // memcpy stand-in, so a helper thread does work proportional to the bytes
-  // its shard copies and the checksum depends on every line.
+  // memcpy stand-in, so the copy does work proportional to the bytes it
+  // moves and the checksum depends on every line.
   u64 stream = page.payload ^ page.addr.value() ^
                (static_cast<u64>(page.src.value()) << 56);
   u64 checksum = kCopyChecksumSeed;
@@ -56,70 +54,20 @@ std::vector<CopyShard> PlanCopyShards(const std::vector<PageCopyRecord>& pages,
   return shards;
 }
 
-AsyncCopyEngine::AsyncCopyEngine(u32 num_threads, Bytes target_shard_bytes)
-    : num_threads_(num_threads == 0 ? 1 : num_threads),
-      target_shard_bytes_(target_shard_bytes.IsZero() ? kHugePageBytes : target_shard_bytes),
-      pool_(num_threads_ > 1 ? std::make_unique<ThreadPool>(num_threads_) : nullptr) {}
-
-AsyncCopyEngine::Ticket AsyncCopyEngine::Begin(std::vector<PageCopyRecord> pages) {
-  const Ticket ticket = next_ticket_++;
-  Inflight& flight = inflight_[ticket];
-  flight.pages = std::move(pages);
-  flight.shards = PlanCopyShards(flight.pages, target_shard_bytes_);
-  flight.shard_checksums.assign(flight.shards.size(), 0);
-  // The worker reads only the immutable snapshot and writes only its own
-  // task-indexed slot; the map node outlives the batch (erased after
-  // WaitJob in Join/Cancel), so these pointers stay valid.
-  const std::vector<PageCopyRecord>* records = &flight.pages;
-  const std::vector<CopyShard>* shards = &flight.shards;
-  std::vector<u64>* slots = &flight.shard_checksums;
-  auto run_shard = [records, shards, slots](std::size_t s) {
-    const CopyShard& shard = (*shards)[s];
-    u64 checksum = kCopyChecksumSeed;
-    for (std::size_t i = 0; i < shard.count; ++i) {
-      checksum = FoldCopyChecksum(checksum, CopyPageContent((*records)[shard.first + i]));
-    }
-    (*slots)[s] = checksum;
-  };
-  if (pool_ != nullptr) {
-    flight.job = pool_->StartJob(flight.shards.size(), run_shard);
-  } else {
-    // Single-threaded: the staged copy runs inline at submit time, which is
-    // trivially deterministic and byte-identical to any parallel schedule.
-    for (std::size_t s = 0; s < flight.shards.size(); ++s) {
-      run_shard(s);
-    }
-  }
-  return ticket;
-}
-
-RegionCopyResult AsyncCopyEngine::Join(Ticket ticket) {
-  auto it = inflight_.find(ticket);
-  MTM_CHECK(it != inflight_.end()) << "AsyncCopyEngine::Join: unknown ticket " << ticket;
-  Inflight& flight = it->second;
-  if (pool_ != nullptr) {
-    pool_->WaitJob(flight.job);
-  }
+RegionCopyResult CopyRegion(const std::vector<PageCopyRecord>& pages) {
+  const std::vector<CopyShard> shards = PlanCopyShards(pages, Bytes{});
   RegionCopyResult out;
   out.checksum = kCopyChecksumSeed;
-  for (std::size_t s = 0; s < flight.shards.size(); ++s) {
-    // Shard-order merge: the region checksum is a pure function of the
-    // snapshot, whatever worker ran which shard in whatever order.
-    out.checksum = FoldCopyChecksum(out.checksum, flight.shard_checksums[s]);
-    out.bytes += flight.shards[s].bytes;
+  for (const CopyShard& shard : shards) {
+    u64 piece = kCopyChecksumSeed;
+    for (std::size_t i = 0; i < shard.count; ++i) {
+      piece = FoldCopyChecksum(piece, CopyPageContent(pages[shard.first + i]));
+    }
+    out.checksum = FoldCopyChecksum(out.checksum, piece);
+    out.bytes += shard.bytes;
   }
-  out.shards = flight.shards.size();
-  inflight_.erase(it);
+  out.shards = shards.size();
   return out;
-}
-
-void AsyncCopyEngine::Cancel(Ticket ticket) {
-  auto it = inflight_.find(ticket);
-  MTM_CHECK(it != inflight_.end()) << "AsyncCopyEngine::Cancel: unknown ticket " << ticket;
-  if (pool_ != nullptr) {
-    pool_->WaitJob(it->second.job);
-  }
-  inflight_.erase(it);
 }
 
 }  // namespace mtm

@@ -1,40 +1,27 @@
-// Helper-thread copy engine for move_memory_regions (§7, DESIGN.md §14).
+// The staged copy of move_memory_regions (§7, DESIGN.md §14).
 //
-// The paper's mechanism wins because allocation and copy run on helper
-// threads off the application's critical path. This engine makes that
-// overlap real in the simulator instead of only modeling it analytically:
+// The paper's mechanism wins because allocation and copy run on kernel
+// helper threads off the application's critical path. The simulator
+// charges that overlap in simulated time (MigrationEngine's async window);
+// the copy itself is a pure function of a snapshot, computed once at arm
+// time:
 //
 //   * when the migration engine arms a region, it snapshots one
 //     PageCopyRecord per still-to-move page (address, size, source
-//     component, payload word) and hands the snapshot to Begin();
-//   * Begin() plans copy shards over the snapshot — contiguous record
-//     slices that break only at 2 MiB huge-page boundaries — and dispatches
-//     them to the shared ThreadPool as a detached batch, returning
-//     immediately while the simulation loop keeps executing accesses;
-//   * each shard worker performs the actual copy work: it expands every
-//     page's payload into its cache lines and folds them into a per-shard
-//     checksum slot (task-indexed, so any worker may run any shard);
-//   * Join() blocks until the batch is done and merges the shard slots in
-//     shard order, so the region checksum is a pure function of the
-//     snapshot — independent of thread count and scheduling;
-//   * Cancel() joins and discards, for the §7.2 write-fault fallback (the
-//     staged pages are stale and "must be copied again") and for aborted
-//     transactions.
-//
-// Determinism: workers read only the immutable snapshot and write only
-// their own checksum slot. The live page table is never touched from a
-// helper thread — the write-track fault in AccessEngine::Apply joins the
-// batch *before* a simulated write can change page contents, so there is
-// no host-side race by construction and every --migrate-threads value
-// produces byte-identical simulation output.
+//     component, payload word) and calls CopyRegion();
+//   * CopyRegion() plans copy shards over the snapshot (contiguous record
+//     slices that break only at 2 MiB huge-page boundaries), expands every
+//     page's payload into its cache lines, folds them into one checksum per
+//     shard, and folds the shard checksums in shard order;
+//   * the engine keeps the result with the in-flight order and folds it into
+//     the run's copy checksum when the async window commits, or drops it on
+//     the §7.2 write-fault fallback (the staged pages are stale and "must be
+//     copied again") and on aborted transactions.
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/common/types.h"
 
 namespace mtm {
@@ -47,14 +34,14 @@ struct PageCopyRecord {
   u64 payload = 0;                       // simulated contents (Pte::payload)
 };
 
-// One helper-thread work unit: records [first, first + count) of a plan.
+// One copy work unit: records [first, first + count) of a plan.
 struct CopyShard {
   std::size_t first = 0;
   std::size_t count = 0;
   Bytes bytes;  // payload bytes covered by the shard
 };
 
-// Merged outcome of one region copy (shard-order fold of the shard slots).
+// Outcome of one region copy (shard-order fold of the shard checksums).
 struct RegionCopyResult {
   u64 checksum = 0;
   Bytes bytes;
@@ -72,59 +59,19 @@ inline constexpr u64 FoldCopyChecksum(u64 acc, u64 piece) {
 
 // The actual per-page copy work: expands the page's payload word into its
 // cache lines and returns their folded checksum. Pure function of the
-// record, so any thread may execute it for any page.
+// record.
 u64 CopyPageContent(const PageCopyRecord& page);
 
 // Plans shards over `pages` (which ForEachMapping produced in address
 // order): contiguous slices of at least `target_shard_bytes`, with
 // boundaries only where the next record starts a new 2 MiB huge frame —
 // the clean-break rule that keeps a huge page's base-page remnants in one
-// shard. Deterministic and independent of thread count.
+// shard. Deterministic.
 std::vector<CopyShard> PlanCopyShards(const std::vector<PageCopyRecord>& pages,
                                       Bytes target_shard_bytes);
 
-class AsyncCopyEngine {
- public:
-  // Identifies one in-flight region copy between Begin and Join/Cancel.
-  using Ticket = u64;
-
-  // num_threads counts the caller (ThreadPool semantics): <= 1 runs every
-  // copy inline at Begin() and spawns no threads. target_shard_bytes of
-  // zero selects the default granularity (one huge frame per shard).
-  explicit AsyncCopyEngine(u32 num_threads, Bytes target_shard_bytes = Bytes{});
-
-  // Stages the copy of one region and dispatches its shards. The snapshot
-  // is owned by the engine until Join/Cancel.
-  Ticket Begin(std::vector<PageCopyRecord> pages);
-
-  // Joins the batch and returns the merged result (shard-order fold).
-  RegionCopyResult Join(Ticket ticket);
-
-  // Joins the batch and discards the staged copy (write-fault fallback or
-  // aborted transaction).
-  void Cancel(Ticket ticket);
-
-  u32 num_threads() const { return num_threads_; }
-  Bytes target_shard_bytes() const { return target_shard_bytes_; }
-  std::size_t in_flight() const { return inflight_.size(); }
-
- private:
-  struct Inflight {
-    std::vector<PageCopyRecord> pages;
-    std::vector<CopyShard> shards;
-    std::vector<u64> shard_checksums;  // task-indexed result slots
-    ThreadPool::JobId job = 0;
-  };
-
-  const u32 num_threads_;
-  const Bytes target_shard_bytes_;
-  // Node-based map: worker lambdas hold pointers into their entry, which
-  // stay valid while other tickets are inserted and erased.
-  std::map<Ticket, Inflight> inflight_;
-  Ticket next_ticket_ = 1;
-  // Declared last so it is destroyed first: the pool's destructor joins the
-  // workers before the snapshots they read are torn down.
-  std::unique_ptr<ThreadPool> pool_;  // null when num_threads <= 1
-};
+// Copies one region snapshot with the default plan (one huge frame per
+// shard) and returns the shard-order fold of its shard checksums.
+RegionCopyResult CopyRegion(const std::vector<PageCopyRecord>& pages);
 
 }  // namespace mtm

@@ -21,19 +21,7 @@ MigrationEngine::MigrationEngine(const Machine& machine, PageTable& page_table,
       counters_(counters),
       clock_(clock),
       kind_(kind),
-      model_(model) {
-  if (MechanismUsesAsyncCopy(kind_)) {
-    copy_engine_ = std::make_unique<AsyncCopyEngine>(migrate_threads_);
-  }
-}
-
-void MigrationEngine::set_migrate_threads(u32 num_threads) {
-  MTM_CHECK(pending_.empty()) << "set_migrate_threads with copies in flight";
-  migrate_threads_ = num_threads == 0 ? 1 : num_threads;
-  if (MechanismUsesAsyncCopy(kind_)) {
-    copy_engine_ = std::make_unique<AsyncCopyEngine>(migrate_threads_);
-  }
-}
+      model_(model) {}
 
 MechanismCost MigrationEngine::PlanCost(const MigrationOrder& order, MechanismKind kind,
                                         Bytes* bytes_out, ComponentId* src_out) {
@@ -288,13 +276,6 @@ std::vector<PageCopyRecord> MigrationEngine::SnapshotCopyRecords(
   return records;
 }
 
-void MigrationEngine::DiscardStagedCopy(Pending& p) {
-  if (copy_engine_ != nullptr && p.copy_ticket != 0) {
-    copy_engine_->Cancel(p.copy_ticket);
-    p.copy_ticket = 0;
-  }
-}
-
 void MigrationEngine::AttachObservability(Observability* obs) {
   obs_ = obs;
   if (obs_ == nullptr) {
@@ -337,8 +318,7 @@ Status MigrationEngine::Submit(const MigrationOrder& order) {
 void MigrationEngine::SubmitAll(const std::vector<MigrationOrder>& orders) {
   if (admission_ == nullptr) {
     for (const MigrationOrder& order : orders) {
-      // mtm-analyze: allow(discarded-status) batch path; per-order outcomes land in stats_
-      Submit(order);
+      (void)Submit(order);  // batch path: per-order outcomes land in stats_
     }
     return;
   }
@@ -358,8 +338,7 @@ void MigrationEngine::SubmitAll(const std::vector<MigrationOrder>& orders) {
   }
   admission_->Sequence(batch);
   for (const AdmissionRequest& request : batch) {
-    // mtm-analyze: allow(discarded-status) batch path; per-order outcomes land in stats_
-    Submit(request.order);
+    (void)Submit(request.order);  // batch path: per-order outcomes land in stats_
   }
 }
 
@@ -514,12 +493,12 @@ Status MigrationEngine::SubmitAttempt(const MigrationOrder& submitted, u32 attem
   p.complete_at = clock_.now() + p.background_ns;
   p.cost = cost;
   p.attempt = attempt;
-  if (copy_engine_ != nullptr) {
-    // Stage the real copy: snapshot the still-to-move pages while the arming
-    // TLB flush is fresh and dispatch the shards to the helper threads. The
-    // write-track fault is the join point, so no simulated write can change
-    // a page between this snapshot and the copy's commit.
-    p.copy_ticket = copy_engine_->Begin(SnapshotCopyRecords(order));
+  if (MechanismUsesAsyncCopy(kind_)) {
+    // Stage the copy from a snapshot of the still-to-move pages, taken while
+    // the arming TLB flush is fresh. A tracked write forces the §7.2
+    // fallback, so no simulated write can change a page between this
+    // snapshot and an async commit.
+    p.staged_copy = CopyRegion(SnapshotCopyRecords(order));
   }
   if (obs_ != nullptr && obs_->async_flows) {
     p.flow_id = next_flow_id_++;
@@ -551,10 +530,9 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
     stats_.steps.unmap_remap_ns += unbatched_extra;
     ++stats_.sync_fallbacks;
     (void)remaining_fraction;
-    // The staged pages are stale the moment the tracked write lands:
-    // discard the helper-thread copy; the commit path below re-reads the
-    // live contents serially.
-    DiscardStagedCopy(p);
+    // The staged pages are stale the moment the tracked write lands: the
+    // commit path below drops the staged copy and re-reads the live
+    // contents.
     DisarmWriteTracking(p.order);
   } else {
     stats_.background_ns += p.background_ns;
@@ -573,10 +551,9 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
   if (injector_ != nullptr) {
     // The finalize step is where an async attempt can die: the device lost
     // the copy, the remap failed, or the target went offline mid-flight.
-    // All three roll back identically — staged copy discarded, tracking
+    // All three roll back identically — staged copy dropped, tracking
     // disarmed, no page moved.
     if (machine_.IsOffline(p.order.dst)) {
-      DiscardStagedCopy(p);
       DisarmWriteTracking(p.order);
       ++stats_.rollbacks;
       ++stats_.orders_abandoned;  // offline is permanent: no retry
@@ -586,7 +563,6 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
       return;
     }
     if (injector_->ShouldFail(FaultSite::kMigrationCopy)) {
-      DiscardStagedCopy(p);
       DisarmWriteTracking(p.order);
       ++stats_.injected_copy_failures;
       ++stats_.rollbacks;
@@ -594,7 +570,6 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
       return;
     }
     if (injector_->ShouldFail(FaultSite::kMigrationRemap)) {
-      DiscardStagedCopy(p);
       DisarmWriteTracking(p.order);
       ++stats_.injected_remap_failures;
       ++stats_.rollbacks;
@@ -605,7 +580,7 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
   Bytes still_to_move;
   ComponentId src = kInvalidComponent;
   PlanCost(p.order, kind_, &still_to_move, &src);
-  if (copy_engine_ != nullptr) {
+  if (MechanismUsesAsyncCopy(kind_)) {
     if (forced_sync) {
       // §7.2 synchronous re-copy: the committed contents are re-read from
       // the live payloads on the critical path (charged above), so the
@@ -618,15 +593,13 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
       }
       stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, checksum);
       stats_.fallback_copy_bytes += resynced;
-    } else if (p.copy_ticket != 0) {
-      // Commit from the staged helper-thread copy: join the batch and fold
-      // its region checksum. No write hit the window (the fault would have
-      // forced sync), so the snapshot still matches the live contents.
-      RegionCopyResult staged = copy_engine_->Join(p.copy_ticket);
-      p.copy_ticket = 0;
-      stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, staged.checksum);
-      stats_.async_copy_bytes += staged.bytes;
-      stats_.copy_shards += staged.shards;
+    } else {
+      // Commit from the staged copy. No write hit the window (the fault
+      // would have forced sync), so the snapshot still matches the live
+      // contents.
+      stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, p.staged_copy.checksum);
+      stats_.async_copy_bytes += p.staged_copy.bytes;
+      stats_.copy_shards += p.staged_copy.shards;
       ++stats_.async_copies;
     }
   }
@@ -689,8 +662,8 @@ void MigrationEngine::ProcessRetries() {
     }
     ++stats_.retries;
     Bump(retries_id_);
-    // mtm-analyze: allow(discarded-status) retry outcome is tracked via stats_/retry_queue_
-    SubmitAttempt(e.order, e.attempt);
+    // The retry's outcome is tracked via stats_ and retry_queue_.
+    (void)SubmitAttempt(e.order, e.attempt);
   }
 }
 
@@ -727,8 +700,8 @@ void MigrationEngine::Flush() {
     retry_queue_.pop_front();
     ++stats_.retries;
     Bump(retries_id_);
-    // mtm-analyze: allow(discarded-status) retry outcome is tracked via stats_/retry_queue_
-    SubmitAttempt(e.order, e.attempt);
+    // The retry's outcome is tracked via stats_ and retry_queue_.
+    (void)SubmitAttempt(e.order, e.attempt);
     while (!pending_.empty()) {
       FinishPending(0, /*forced_sync=*/false, 0.0);
     }
@@ -760,7 +733,6 @@ void MigrationEngine::OnTierFault(const TierFaultEvent& event) {
     if (pending_[i].order.dst == component) {
       Pending p = pending_[i];
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      DiscardStagedCopy(p);
       DisarmWriteTracking(p.order);
       ++stats_.rollbacks;
       ++stats_.orders_abandoned;  // offline is permanent: no retry

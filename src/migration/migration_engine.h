@@ -39,7 +39,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -85,11 +84,9 @@ struct MigrationStats {
   SimNanos background_ns;
   MigrationStepBreakdown steps;
 
-  // Helper-thread copy engine (move_memory_regions only; see async_copy.h).
-  // All deterministic functions of the simulation — identical for every
-  // --migrate-threads value, which the differential tests assert.
+  // Staged copies (move_memory_regions only; see async_copy.h).
   u64 async_copies = 0;       // regions committed from the staged async copy
-  u64 copy_shards = 0;        // helper-thread work units dispatched for them
+  u64 copy_shards = 0;        // copy shards planned for them
   Bytes async_copy_bytes;     // bytes committed from staged copies
   Bytes fallback_copy_bytes;  // bytes re-copied serially after a §7.2 fault
   u64 copy_checksum = 0;      // fold of every committed region's content checksum
@@ -149,15 +146,6 @@ class MigrationEngine : public WriteTrackObserver {
   // each charged migration step. Null (the default) records nothing.
   void AttachObservability(Observability* obs);
 
-  // Host-side parallelism of the move_memory_regions copy stage: staged
-  // copies are sharded across `num_threads` helper threads (the caller
-  // participates; 1 = inline, the default). Purely a host-side speedup —
-  // simulated time, reports, and traces are byte-identical for any value.
-  // Must be called before the first Submit (no copies may be in flight).
-  void set_migrate_threads(u32 num_threads);
-  u32 migrate_threads() const { return migrate_threads_; }
-  const AsyncCopyEngine* copy_engine() const { return copy_engine_.get(); }
-
   // Chaos wiring. The injector may be null (fault-free run).
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   void set_retry_policy(const MigrationRetryPolicy& policy) { retry_policy_ = policy; }
@@ -208,8 +196,9 @@ class MigrationEngine : public WriteTrackObserver {
     SimNanos background_ns;
     MechanismCost cost;  // precomputed aggregate cost
     u32 attempt = 1;     // 1-based try counter for backoff on abort
-    // Staged helper-thread copy of this region (0 = none staged).
-    AsyncCopyEngine::Ticket copy_ticket = 0;
+    // Staged copy of this region (move_memory_regions only), folded into
+    // the copy checksum on async commit and dropped otherwise.
+    RegionCopyResult staged_copy;
     // Chrome trace flow id linking migrate_arm to the finish span (0 = flow
     // emission disabled).
     u64 flow_id = 0;
@@ -264,11 +253,8 @@ class MigrationEngine : public WriteTrackObserver {
   void FinishPending(std::size_t index, bool forced_sync, double remaining_fraction);
 
   // Snapshot of the order's still-to-move pages (address order, pages
-  // already on order.dst skipped) for the copy engine.
+  // already on order.dst skipped) for the staged copy.
   std::vector<PageCopyRecord> SnapshotCopyRecords(const MigrationOrder& order) const;
-
-  // Joins and discards a staged copy, if any (fallback and abort paths).
-  void DiscardStagedCopy(Pending& p);
 
   // Abort bookkeeping: rolls the attempt back (caller already restored all
   // state) and either queues a retry with exponential backoff or abandons
@@ -309,10 +295,6 @@ class MigrationEngine : public WriteTrackObserver {
   MetricId retries_id_ = kInvalidMetricId;
   IdMap<ComponentId, MetricId> bytes_on_component_ids_;
 
-  // Helper-thread copy engine, created only for mechanisms that stage real
-  // copies (MechanismUsesAsyncCopy); rebuilt by set_migrate_threads.
-  std::unique_ptr<AsyncCopyEngine> copy_engine_;
-  u32 migrate_threads_ = 1;
   u64 next_flow_id_ = 1;
 
   std::vector<Pending> pending_;

@@ -25,9 +25,6 @@ MtmProfiler::MtmProfiler(const Machine& machine, PageTable& page_table,
   if (!config_.use_pebs) {
     pebs_ = nullptr;
   }
-  if (config_.scan_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.scan_threads);
-  }
 }
 
 double MtmProfiler::EffectiveScanCost() const {
@@ -121,8 +118,7 @@ void MtmProfiler::SelectSamples() {
   (void)region_count;
   (void)region_index;
   // Prime: clear any stale accessed bit so the first scan measures this
-  // interval, not history. Runs sharded — priming only mutates the sampled
-  // PTEs themselves, so it commutes with the serial RNG-driven selection.
+  // interval, not history.
   ScanSampledPages(ScanMode::kPrime);
 }
 
@@ -161,140 +157,44 @@ void MtmProfiler::NominateFromPebs() {
 
 void MtmProfiler::DoScan() { ScanSampledPages(ScanMode::kScan); }
 
-std::vector<MtmProfiler::ScanShard> MtmProfiler::PlanShards(const std::vector<Region*>& list,
-                                                            u64 total_pages) const {
-  std::vector<ScanShard> shards;
-  if (list.empty() || total_pages == 0) {
-    return shards;
-  }
-  const u64 max_shards =
-      pool_ != nullptr ? std::min<u64>(total_pages, u64{pool_->num_threads()} * 4) : 1;
-  const u64 target = (total_pages + max_shards - 1) / max_shards;  // pages per shard
-  ScanShard next;
-  u64 pages = 0;
-  for (std::size_t r = 0; r < list.size(); ++r) {
-    ++next.num_regions;
-    pages += list[r]->sampled_pages.size();
-    const bool last = r + 1 == list.size();
-    // A shard may only end where the successor cannot share a huge page with
-    // this region: two adjacent sub-huge regions over one huge mapping share
-    // a single accessed bit, and splitting them across workers would race
-    // (and reorder the read-and-clear against the serial path).
-    const bool clean_break =
-        last || list[r]->end != list[r + 1]->start || IsHugeAligned(list[r + 1]->start);
-    if (last || (pages >= target && clean_break)) {
-      shards.push_back(next);
-      next.first_region += next.num_regions;
-      next.page_offset += pages;
-      next.num_regions = 0;
-      pages = 0;
-    }
-  }
-  return shards;
-}
-
 void MtmProfiler::ScanSampledPages(ScanMode mode) {
-  std::vector<Region*> list;
-  list.reserve(regions_.size());
-  u64 total_pages = 0;
-  for (auto& [start, region] : regions_) {
-    if (!region.sampled_pages.empty()) {
-      list.push_back(&region);
-      total_pages += region.sampled_pages.size();
-    }
-  }
   const u64 hint_base = scans_since_hint_;
   const u64 hint_period = config_.hint_fault_period;
-  const std::vector<ScanShard> shards = PlanShards(list, total_pages);
-  std::vector<ShardScanResult> results(shards.size());
-
-  auto scan_shard = [&](std::size_t s) {
-    const ScanShard& shard = shards[s];
-    ShardScanResult& res = results[s];
-    u64 scanned = shard.page_offset;  // global 1-based after each increment
-    for (std::size_t r = shard.first_region; r < shard.first_region + shard.num_regions; ++r) {
-      Region& region = *list[r];
-      for (std::size_t i = 0; i < region.sampled_pages.size(); ++i) {
-        bool accessed = false;
-        const bool mapped = page_table_.ScanAccessed(region.sampled_pages[i], &accessed);
-        ++scanned;
-        if (mode == ScanMode::kPrime) {
-          continue;  // clearing the stale bit is the whole job
-        }
-        if (mapped && accessed) {
-          ++region.sample_hits[i];
-        }
-        // Every hint_fault_period-th scan (by global scan index, so the
-        // armed set is shard-independent) arms a hint fault on the scanned
-        // page so the next access reveals the accessing socket (§6.2).
-        if ((hint_base + scanned) % hint_period == 0) {
-          res.armed.push_back(region.sampled_pages[i]);
-        }
+  u64 scanned = 0;  // 1-based global scan index after each increment
+  std::vector<VirtAddr> armed;
+  for (auto& [start, region] : regions_) {
+    for (std::size_t i = 0; i < region.sampled_pages.size(); ++i) {
+      bool accessed = false;
+      const bool mapped = page_table_.ScanAccessed(region.sampled_pages[i], &accessed);
+      ++scanned;
+      if (mode == ScanMode::kPrime) {
+        continue;  // clearing the stale bit is the whole job
       }
-    }
-    res.scans = scanned - shard.page_offset;
-    if (mode == ScanMode::kScan && metrics_ != nullptr) {
-      res.obs.AddCounter("profiler/pte_scans", res.scans);
-    }
-  };
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(shards.size(), scan_shard);
-  } else {
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      scan_shard(s);
+      if (mapped && accessed) {
+        ++region.sample_hits[i];
+      }
+      // Every hint_fault_period-th scan arms a hint fault on the scanned
+      // page so the next access reveals the accessing socket (§6.2).
+      if ((hint_base + scanned) % hint_period == 0) {
+        armed.push_back(region.sampled_pages[i]);
+      }
     }
   }
-
-  // Merge in shard order: scan counts, then deferred hint arming (workers
-  // never touch the page-table generation counter), then buffered metrics.
-  for (ShardScanResult& res : results) {
-    scans_this_interval_ += res.scans;
-    for (VirtAddr addr : res.armed) {
-      Pte* pte = page_table_.Find(addr);
-      if (pte != nullptr) {
-        pte->Set(Pte::kHintArmed);
-        page_table_.BumpGeneration();
-      }
+  scans_this_interval_ += scanned;
+  // Arm the collected hint faults once the pass is done, in scan order.
+  for (VirtAddr addr : armed) {
+    Pte* pte = page_table_.Find(addr);
+    if (pte != nullptr) {
+      pte->Set(Pte::kHintArmed);
+      page_table_.BumpGeneration();
     }
-    res.obs.FlushTo(metrics_, nullptr);
   }
   if (mode == ScanMode::kScan) {
-    scans_since_hint_ = (hint_base + total_pages) % hint_period;
-    if (shards.empty() && metrics_ != nullptr) {
-      // Keep registry interning order identical to the serial path even for
-      // a degenerate empty scan.
-      metrics_->Add(metrics_->Counter("profiler/pte_scans"), 0);
+    if (metrics_ != nullptr) {
+      metrics_->Add(metrics_->Counter("profiler/pte_scans"), scanned);
     }
+    scans_since_hint_ = (hint_base + scanned) % hint_period;
   }
-}
-
-void MtmProfiler::ForEachRegionSharded(const std::function<void(Region&)>& fn) {
-  if (pool_ == nullptr) {
-    for (auto& [start, region] : regions_) {
-      fn(region);
-    }
-    return;
-  }
-  std::vector<Region*> all;
-  all.reserve(regions_.size());
-  for (auto& [start, region] : regions_) {
-    all.push_back(&region);
-  }
-  const std::size_t chunks =
-      std::min<std::size_t>(all.size(), std::size_t{pool_->num_threads()} * 4);
-  if (chunks <= 1) {
-    for (Region* region : all) {
-      fn(*region);
-    }
-    return;
-  }
-  pool_->ParallelFor(chunks, [&](std::size_t c) {
-    const std::size_t begin = all.size() * c / chunks;
-    const std::size_t end = all.size() * (c + 1) / chunks;
-    for (std::size_t i = begin; i < end; ++i) {
-      fn(*all[i]);
-    }
-  });
 }
 
 void MtmProfiler::OnScanTick(u32 tick) {
@@ -475,10 +375,8 @@ ProfileOutput MtmProfiler::OnIntervalEnd() {
   ProfileOutput out;
   UpdateSocketAttribution();
 
-  // HI and WHI updates (§5.1, §6.1). Pure per-region math with identical
-  // floating-point evaluation per region, so sharding across the pool
-  // cannot change a single bit of the result.
-  ForEachRegionSharded([this](Region& region) {
+  // HI and WHI updates (§5.1, §6.1).
+  for (auto& [start, region] : regions_) {
     region.prev_hi = region.hi;
     if (!region.sampled_pages.empty()) {
       double sum = 0.0;
@@ -500,7 +398,7 @@ ProfileOutput MtmProfiler::OnIntervalEnd() {
     for (u32& hits : region.socket_hits) {
       hits /= 2;
     }
-  });
+  }
 
   if (config_.adaptive_regions) {
     MergePass(out);

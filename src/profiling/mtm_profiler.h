@@ -25,15 +25,12 @@
 // use_pebs) reproduce the §9.3 "w/o AMR / APS / OC / PEBS" variants.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/mem/address_space.h"
-#include "src/obs/delta.h"
 #include "src/profiling/profiler.h"
 #include "src/profiling/region.h"
 #include "src/sim/access_engine.h"
@@ -65,10 +62,6 @@ class MtmProfiler : public Profiler {
     bool overhead_control = true;   // OC
     bool use_pebs = true;           // performance-counter assistance
 
-    // Workers for the sharded PTE-scan path (DESIGN.md §9). Any value
-    // produces byte-identical profiling results; 1 runs fully inline.
-    u32 scan_threads = 1;
-
     u64 seed = 0x4d544d;  // deterministic page sampling
   };
 
@@ -92,26 +85,10 @@ class MtmProfiler : public Profiler {
   u64 last_interval_scans() const { return last_scans_; }
 
  private:
-  // The two passes the sharded scan engine runs over sampled pages: the
-  // interval-start priming pass (clear stale accessed bits, count scans) and
-  // the per-tick hit-counting pass (count hits, arm hint faults).
+  // The two passes over sampled pages: the interval-start priming pass
+  // (clear stale accessed bits, count scans) and the per-tick hit-counting
+  // pass (count hits, arm hint faults).
   enum class ScanMode { kPrime, kScan };
-
-  // One contiguous run of scan-list regions executed by one worker. Shards
-  // never split two adjacent sub-huge regions sharing a huge mapping, so no
-  // two workers ever touch the same PTE.
-  struct ScanShard {
-    std::size_t first_region = 0;
-    std::size_t num_regions = 0;
-    u64 page_offset = 0;  // global index of the shard's first sampled page
-  };
-
-  // Everything a shard produces; merged by the coordinator in shard order.
-  struct ShardScanResult {
-    u64 scans = 0;
-    std::vector<VirtAddr> armed;  // hint-fault pages, in scan order
-    ObsDelta obs;                 // buffered metric deltas (contention-free)
-  };
 
   // Effective per-scan cost including the amortized hint fault (§6.2).
   double EffectiveScanCost() const;
@@ -123,16 +100,10 @@ class MtmProfiler : public Profiler {
   void NominateFromPebs();
   void DoScan();
 
-  // The sharded scan engine (DESIGN.md §9): flattens regions holding
-  // sampled pages, partitions them into contiguous shards, scans each shard
-  // (on the pool when scan_threads > 1), and merges per-shard results in
-  // shard order. Byte-identical to the serial path for any thread count.
+  // One pass over every sampled page, in region then sample order (§9).
+  // Hint faults are armed after the pass, by global scan index.
   void ScanSampledPages(ScanMode mode);
-  std::vector<ScanShard> PlanShards(const std::vector<Region*>& list, u64 total_pages) const;
 
-  // Applies fn to every region, sharded across the pool when available.
-  // fn must confine its writes to the region it is given.
-  void ForEachRegionSharded(const std::function<void(Region&)>& fn);
   void MergePass(ProfileOutput& out);
   void SplitPass(ProfileOutput& out);
   void RedistributeQuota();
@@ -145,7 +116,6 @@ class MtmProfiler : public Profiler {
   PebsEngine* pebs_;
   Config config_;
   Rng rng_;
-  std::unique_ptr<ThreadPool> pool_;  // null when scan_threads <= 1
 
   RegionMap regions_;
   double tau_m_current_;

@@ -74,10 +74,10 @@ ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
   }
 
   // Write-tracking fault (move_memory_regions dirtiness tracking). The
-  // fault is serviced before the write's effect lands: the observer joins
-  // any in-flight helper-thread copy of the page while the simulated
-  // contents are still the ones it staged, which is what makes the copy
-  // engine's fallback deterministic and race-free (DESIGN.md §14).
+  // fault is serviced before the write's effect lands: the observer commits
+  // the page by synchronous copy while the simulated contents are still the
+  // pre-write ones, so the write then lands on the moved page (DESIGN.md
+  // §14).
   if (is_write && pte->write_tracked()) {
     pte->Clear(Pte::kWriteTracked);
     page_table_.BumpGeneration();

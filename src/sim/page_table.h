@@ -121,8 +121,8 @@ class PageTable {
   // and bumps the generation once — the single TLB flush the paper charges.
   // Returns the number of mappings touched. The next write to an armed page
   // reports TouchResult::kWriteTrackFault from Touch() before the write's
-  // payload lands, which is what lets the copy engine join its in-flight
-  // helper-thread copy before the simulated contents change.
+  // payload lands, which is what lets the migration engine fall back to a
+  // synchronous copy before the simulated contents change.
   u64 ArmWriteTracking(VirtAddr start, Bytes len);
   u64 DisarmWriteTracking(VirtAddr start, Bytes len);
 

@@ -1,6 +1,10 @@
 // End-to-end integration tests: the §8 daemon loop over every solution.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
 #include "src/common/types.h"
 #include "src/core/driver.h"
 #include "src/core/experiment.h"
@@ -95,6 +99,19 @@ struct SolutionCase {
   const char* workload;
 };
 
+// Prints the case as its test-name suffix: "thermostat+mtm-migration" on
+// "gups" is "thermostat_mtm_migration_gups". Test names and
+// --gtest_list_tests then never carry the struct's raw bytes.
+void PrintTo(const SolutionCase& c, std::ostream* os) {
+  std::string name = std::string(SolutionKindName(c.kind)) + "_" + c.workload;
+  for (char& ch : name) {
+    if (std::isalnum(static_cast<unsigned char>(ch)) == 0) {
+      ch = '_';
+    }
+  }
+  *os << name;
+}
+
 class AllSolutionsTest : public ::testing::TestWithParam<SolutionCase> {};
 
 TEST_P(AllSolutionsTest, RunsToCompletion) {
@@ -124,7 +141,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SolutionCase{SolutionKind::kMtm, "sssp"},
                       SolutionCase{SolutionKind::kMtm, "spark"},
                       SolutionCase{SolutionKind::kTieredAutoNuma, "voltdb"},
-                      SolutionCase{SolutionKind::kAutoTiering, "spark"}));
+                      SolutionCase{SolutionKind::kAutoTiering, "spark"}),
+    ::testing::PrintToStringParamName());
 
 TEST(DriverTest, TwoTierHememRuns) {
   ExperimentConfig config = TinyConfig();

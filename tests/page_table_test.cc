@@ -2,6 +2,7 @@
 // accessed/dirty semantics, PTE scans, and structural invariants.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -237,6 +238,12 @@ struct HugenessCase {
   u64 pages;
 };
 
+// Prints the case as its test-name suffix ("Huge_33"), so neither the test
+// names nor --gtest_list_tests carry the struct's raw bytes.
+void PrintTo(const HugenessCase& c, std::ostream* os) {
+  *os << (c.huge ? "Huge_" : "Base_") << c.pages;
+}
+
 class PageTableParamTest : public ::testing::TestWithParam<HugenessCase> {};
 
 TEST_P(PageTableParamTest, MapTouchScanCycle) {
@@ -259,7 +266,8 @@ TEST_P(PageTableParamTest, MapTouchScanCycle) {
 INSTANTIATE_TEST_SUITE_P(Hugeness, PageTableParamTest,
                          ::testing::Values(HugenessCase{false, 1}, HugenessCase{false, 64},
                                            HugenessCase{false, 513}, HugenessCase{true, 1},
-                                           HugenessCase{true, 8}, HugenessCase{true, 33}));
+                                           HugenessCase{true, 8}, HugenessCase{true, 33}),
+                         ::testing::PrintToStringParamName());
 
 }  // namespace
 }  // namespace mtm

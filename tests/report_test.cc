@@ -1,7 +1,10 @@
 // Tests for the reporting module and the flag parser.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/common/flags.h"
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/core/driver.h"
@@ -111,6 +114,29 @@ TEST(FlagsTest, ExplicitBooleanValues) {
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_TRUE(flags.GetBool("c", false));
   EXPECT_FALSE(flags.GetBool("d", true));
+}
+
+TEST(FlagsTest, CheckRejectsUnqueriedFlagsAndMalformedNumbers) {
+  const char* argv[] = {"prog", "--scale=256", "--alpha=abc", "--bogus=1"};
+  FlagSet flags(4, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetU64("scale", 0), 256u);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("alpha", 0.5), 0.5);  // malformed: fallback
+  Status unknown = flags.Check();
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.message().find("--bogus"), std::string::npos) << unknown.message();
+  EXPECT_EQ(flags.GetU64("bogus", 0), 1u);
+  Status malformed = flags.Check();
+  EXPECT_EQ(malformed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(malformed.message().find("--alpha=abc"), std::string::npos) << malformed.message();
+}
+
+TEST(FlagsTest, CheckPassesWhenEveryFlagWasQueried) {
+  const char* argv[] = {"prog", "--threads=16", "--overhead=0.1", "--two-tier"};
+  FlagSet flags(4, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetU64("threads", 8), 16u);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("overhead", 0.05), 0.1);
+  EXPECT_TRUE(flags.GetBool("two-tier", false));
+  EXPECT_TRUE(flags.Check().ok());
 }
 
 }  // namespace

@@ -2,12 +2,10 @@
 //
 // The model is built from the stripped token stream: function definitions
 // and declarations at namespace/class scope (name, qualified name, return
-// type), lambdas nested in bodies (attributed to their enclosing function,
-// with the callee recorded when the lambda sits in a call's argument list),
-// call sites, mutation sites, and Status/Result flow events. It is a
-// syntactic approximation — no overload resolution, no type inference —
-// and every consumer documents the resulting false-negative envelope in
-// DESIGN.md §12.
+// type), lambdas nested in bodies (attributed to their enclosing function),
+// and Status/Result flow events. It is a syntactic approximation — no
+// overload resolution, no type inference — and the pass documents the
+// resulting false-negative envelope in DESIGN.md §12.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -37,29 +35,12 @@ const std::set<std::string>& Keywords() {
   return kKeywords;
 }
 
-bool IsControlKeyword(const std::string& t) {
-  return t == "if" || t == "for" || t == "while" || t == "switch" || t == "catch";
-}
-
 // Specifier tokens stripped when canonicalizing a return type.
 bool IsSpecifier(const std::string& t) {
   return t == "static" || t == "inline" || t == "constexpr" || t == "virtual" ||
          t == "explicit" || t == "friend" || t == "extern" || t == "nodiscard" ||
          t == "maybe_unused" || t == "[" || t == "]";
 }
-
-// Member calls that mutate the receiver (containers, smart pointers,
-// atomics). Chains rooted at a this-member ending in one of these count as
-// member mutation.
-const std::set<std::string>& MutatingMethods() {
-  static const std::set<std::string> kMethods = {
-      "push_back", "emplace_back", "pop_back",  "push_front", "pop_front", "insert",
-      "emplace",   "erase",        "clear",     "resize",     "assign",    "push",
-      "pop",       "reset",        "store",     "fetch_add",  "fetch_sub", "exchange"};
-  return kMethods;
-}
-
-bool EndsWithUnderscore(const std::string& s) { return !s.empty() && s.back() == '_'; }
 
 // Index one past the token matching `open_tok` at tokens[i]; npos on bail.
 std::size_t MatchForward(const std::vector<Token>& toks, std::size_t i, const char* open_tok,
@@ -101,7 +82,7 @@ class ModelBuilder {
   explicit ModelBuilder(SourceFile* file) : file_(file), toks_(TokenizeCode(file->code)) {}
 
   void Build() {
-    WalkScope(0, toks_.size(), /*class_name=*/"", /*at_namespace=*/true);
+    WalkScope(0, toks_.size(), /*class_name=*/"");
     file_->functions = std::move(fns_);
   }
 
@@ -115,17 +96,13 @@ class ModelBuilder {
   // ---- declarative scopes (namespace / class bodies) ----
 
   // Walks tokens[begin, end) as a declarative scope; `class_name` qualifies
-  // member functions, `at_namespace` enables mutable-global collection.
-  void WalkScope(std::size_t begin, std::size_t end, const std::string& class_name,
-                 bool at_namespace) {
+  // member functions.
+  void WalkScope(std::size_t begin, std::size_t end, const std::string& class_name) {
     std::size_t decl_start = begin;
     std::size_t i = begin;
     while (i < end) {
       const std::string& t = Text(i);
       if (t == ";") {
-        if (at_namespace) {
-          MaybeRecordMutableGlobal(decl_start, i);
-        }
         decl_start = ++i;
         continue;
       }
@@ -144,7 +121,7 @@ class ModelBuilder {
           if (close == std::string::npos) {
             return;
           }
-          WalkScope(k + 1, close - 1, "", true);
+          WalkScope(k + 1, close - 1, "");
           i = decl_start = close;
           continue;
         }
@@ -175,7 +152,7 @@ class ModelBuilder {
             return;
           }
           if (!is_enum) {
-            WalkScope(k + 1, close - 1, name, false);
+            WalkScope(k + 1, close - 1, name);
           }
           i = close;
           // The decl may continue ("} g_instance;"): keep decl_start so a
@@ -194,11 +171,8 @@ class ModelBuilder {
         continue;
       }
       if (t == "{") {
-        // Brace not owned by a recognized construct: either a brace-init of
-        // a namespace-scope variable or something we skip wholesale.
-        if (at_namespace) {
-          MaybeRecordMutableGlobal(decl_start, i);
-        }
+        // Brace not owned by a recognized construct (a brace-init of a
+        // namespace-scope variable, say): skipped wholesale.
         std::size_t close = MatchForward(toks_, i, "{", "}");
         if (close == std::string::npos) {
           return;
@@ -347,7 +321,6 @@ class ModelBuilder {
     }
     fn.line = Line(name_start);
     fn.has_body = has_body;
-    fn.param_count = CountParams(paren, after_params);
     // Canonical return type: declaration tokens before the name, minus
     // template heads, specifiers, and attributes. Constructors (name ==
     // enclosing class, empty prefix) end up with an empty return type.
@@ -379,84 +352,12 @@ class ModelBuilder {
     return true;
   }
 
-  // Top-level parameter count of the list spanning tokens[paren] == "(" to
-  // tokens[after_params - 1] == ")". Template-argument commas are skipped;
-  // a lone "void" counts as zero.
-  int CountParams(std::size_t paren, std::size_t after_params) const {
-    std::size_t last = after_params - 1;  // index of ")"
-    if (last <= paren + 1) {
-      return 0;
-    }
-    if (last == paren + 2 && Text(paren + 1) == "void") {
-      return 0;
-    }
-    int depth = 0;
-    int commas = 0;
-    for (std::size_t q = paren + 1; q < last; ++q) {
-      const std::string& t = Text(q);
-      if (t == "(" || t == "[" || t == "{") {
-        ++depth;
-      } else if (t == ")" || t == "]" || t == "}") {
-        --depth;
-      } else if (t == "<") {
-        std::size_t after = MatchAngles(toks_, q);
-        if (after != std::string::npos && after <= last) {
-          q = after - 1;
-        }
-      } else if (t == "," && depth == 0) {
-        ++commas;
-      }
-    }
-    return commas + 1;
-  }
-
-  // Namespace-scope variable without const/constexpr in [begin, end):
-  // records the declared name into mutable_globals. Declarations containing
-  // '(' (functions, function pointers) or type-introducing keywords are
-  // skipped; the name is the last identifier before '=', '{', '[' or end.
-  void MaybeRecordMutableGlobal(std::size_t begin, std::size_t end) {
-    std::string name;
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::string& t = Text(k);
-      if (t == "const" || t == "constexpr" || t == "(" || t == "using" || t == "typedef" ||
-          t == "operator" || t == "friend" || t == "template" || t == "class" || t == "struct" ||
-          t == "enum" || t == "union" || t == "namespace") {
-        return;
-      }
-      if (t == "=" || t == "{" || t == "[") {
-        break;
-      }
-      if (std::isalpha(static_cast<unsigned char>(t[0])) != 0 || t[0] == '_') {
-        if (Keywords().count(t) == 0 || t == "auto") {
-          name = t;
-        }
-      }
-    }
-    if (!name.empty() && name != "auto") {
-      file_->mutable_globals.insert(name);
-    }
-  }
-
   // ---- function bodies ----
 
-  struct ParenCtx {
-    std::string callee;  // non-empty when the '(' follows a callable ident
-    bool control = false;
-  };
-
-  // Walks a body starting at tokens[open] == "{" attributing calls, writes
-  // and var events to fns_[fn_index]; returns the index past the matching
-  // closing brace.
+  // Walks a body starting at tokens[open] == "{" attributing var events to
+  // fns_[fn_index]; returns the index past the matching closing brace.
   std::size_t ParseBody(std::size_t open, std::size_t fn_index) {
     int depth = 0;
-    bool stmt_start = true;
-    std::vector<ParenCtx> parens;
-    // Guard objects alive in enclosing scopes: (declaration depth, index
-    // into fn.locks). Each ParseBody invocation — including a nested
-    // lambda's — tracks its own stack: a guard held where a lambda is
-    // *defined* does not cover the lambda's later execution.
-    std::vector<std::pair<int, std::size_t>> lock_stack;
-    std::vector<std::string> held_now;
     std::size_t i = open + 1;
     ++depth;
     while (i < toks_.size()) {
@@ -465,68 +366,23 @@ class ModelBuilder {
 
       if (t == "{") {
         ++depth;
-        stmt_start = true;
         ++i;
         continue;
       }
       if (t == "}") {
-        --depth;
-        while (!lock_stack.empty() && lock_stack.back().first > depth) {
-          fns_[fn_index].locks[lock_stack.back().second].end_line = Line(i);
-          lock_stack.pop_back();
-          held_now.pop_back();
-        }
-        if (depth == 0) {
+        if (--depth == 0) {
           return i + 1;
         }
-        stmt_start = true;
-        ++i;
-        continue;
-      }
-      if (t == ";") {
-        stmt_start = parens.empty();
-        ++i;
-        continue;
-      }
-      if (t == "else" || t == "do") {
-        stmt_start = true;
-        ++i;
-        continue;
-      }
-      if (t == "(") {
-        ParenCtx ctx;
-        if (IsControlKeyword(prev)) {
-          ctx.control = true;
-        } else if (!prev.empty() &&
-                   (std::isalpha(static_cast<unsigned char>(prev[0])) != 0 || prev[0] == '_') &&
-                   Keywords().count(prev) == 0) {
-          ctx.callee = prev;
-        }
-        parens.push_back(ctx);
-        stmt_start = false;
-        ++i;
-        continue;
-      }
-      if (t == ")") {
-        bool was_control = false;
-        if (!parens.empty()) {
-          was_control = parens.back().control;
-          parens.pop_back();
-        }
-        stmt_start = was_control;
         ++i;
         continue;
       }
       if (t == "[") {
         std::size_t resume;
-        if (Text(i + 1) != "[" && IsLambdaPosition(prev) &&
-            TryParseLambda(i, fn_index, parens, &resume)) {
+        if (Text(i + 1) != "[" && IsLambdaPosition(prev) && TryParseLambda(i, fn_index, &resume)) {
           i = resume;
-          stmt_start = false;
           continue;
         }
         ++i;
-        stmt_start = false;
         continue;
       }
       if (t == "*") {
@@ -542,20 +398,10 @@ class ModelBuilder {
           }
         }
         ++i;
-        stmt_start = false;
         continue;
       }
       if (std::isalpha(static_cast<unsigned char>(t[0])) != 0 || t[0] == '_') {
-        if (t == "static") {
-          RecordStaticLocal(i, fn_index);
-        } else if (t == "lock_guard" || t == "unique_lock" || t == "scoped_lock") {
-          std::size_t resume;
-          if (TryParseLockSite(i, fn_index, depth, &lock_stack, &held_now, &resume)) {
-            i = resume;
-            stmt_start = false;
-            continue;
-          }
-        } else if (t == "Result" && Text(i + 1) == "<") {
+        if (t == "Result" && Text(i + 1) == "<") {
           std::size_t after = MatchAngles(toks_, i + 1);
           if (after != std::string::npos) {
             const std::string& v = Text(after);
@@ -563,19 +409,14 @@ class ModelBuilder {
                 (std::isalpha(static_cast<unsigned char>(v[0])) != 0 || v[0] == '_')) {
               fns_[fn_index].var_events.push_back(
                   {VarEvent::Kind::kResultDecl, v, "", Line(after)});
-              fns_[fn_index].locals.insert(v);
             }
           }
         } else if (t == "auto") {
           RecordAutoCallDecl(i, fn_index);
         } else if (Keywords().count(t) == 0) {
-          HandleIdent(i, fn_index, parens, stmt_start);
+          HandleIdent(i, fn_index);
         }
-        stmt_start = false;
-        ++i;
-        continue;
       }
-      stmt_start = false;
       ++i;
     }
     return toks_.size();
@@ -587,132 +428,6 @@ class ModelBuilder {
            prev == "|" || prev == "!" || prev == "<" || prev == ">";
   }
 
-  // A std::lock_guard/unique_lock/scoped_lock declaration whose type token
-  // is at tokens[i]: records one LockSite per mutex argument (tag arguments
-  // dropped, defer_lock skips the whole site) and pushes them onto the
-  // active stack at the current depth. The guard is modeled as held until
-  // its declaring scope closes — early unlock()/cv wait releases are inside
-  // the documented false-negative envelope.
-  bool TryParseLockSite(std::size_t i, std::size_t fn_index, int depth,
-                        std::vector<std::pair<int, std::size_t>>* lock_stack,
-                        std::vector<std::string>* held_now, std::size_t* resume) {
-    std::size_t k = i + 1;
-    if (Text(k) == "<") {
-      k = MatchAngles(toks_, k);
-      if (k == std::string::npos) {
-        return false;
-      }
-    }
-    const std::string& var = Text(k);
-    if (var.empty() || (std::isalpha(static_cast<unsigned char>(var[0])) == 0 && var[0] != '_') ||
-        Keywords().count(var) > 0) {
-      return false;
-    }
-    ++k;
-    if (Text(k) != "(") {
-      return false;
-    }
-    std::size_t close = MatchForward(toks_, k, "(", ")");
-    if (close == std::string::npos) {
-      return false;
-    }
-    // Split the argument list on top-level commas; each argument becomes
-    // the dotted path of its identifier tokens ("engine_->mu_" -> stripped
-    // tokens "engine_ - > mu_" -> "engine_.mu_").
-    std::vector<std::string> mutexes;
-    std::string current;
-    bool deferred = false;
-    int d = 0;
-    auto flush = [&]() {
-      if (current.empty()) {
-        return;
-      }
-      std::size_t dot = current.rfind('.');
-      std::string last = (dot == std::string::npos) ? current : current.substr(dot + 1);
-      if (last == "defer_lock") {
-        deferred = true;
-      } else if (last != "adopt_lock" && last != "try_to_lock") {
-        mutexes.push_back(current);
-      }
-      current.clear();
-    };
-    for (std::size_t q = k + 1; q + 1 < close; ++q) {
-      const std::string& at = Text(q);
-      if (at == "(" || at == "[" || at == "{") {
-        ++d;
-      } else if (at == ")" || at == "]" || at == "}") {
-        --d;
-      } else if (at == "," && d == 0) {
-        flush();
-      } else if (d == 0 &&
-                 (std::isalpha(static_cast<unsigned char>(at[0])) != 0 || at[0] == '_')) {
-        current += (current.empty() ? "" : ".") + at;
-      }
-    }
-    flush();
-    FunctionInfo& fn = fns_[fn_index];
-    fn.locals.insert(var);
-    if (deferred || mutexes.empty()) {
-      *resume = close;  // consumed the declaration; nothing acquired
-      return true;
-    }
-    // Siblings of one scoped_lock share a group id (acquired atomically: no
-    // ordering pair between them) and snapshot the held list from before
-    // the site, so they do not appear in each other's held vectors.
-    std::vector<std::string> base_held = *held_now;
-    int group = lock_group_counter_++;
-    for (const std::string& m : mutexes) {
-      if (std::find(held_now->begin(), held_now->end(), m) != held_now->end()) {
-        continue;  // re-acquisition of a held mutex: keep the outer site
-      }
-      LockSite site;
-      site.mutex = m;
-      site.line = Line(i);
-      site.held = base_held;
-      site.group = group;
-      fn.locks.push_back(std::move(site));
-      lock_stack->push_back({depth, fn.locks.size() - 1});
-      held_now->push_back(m);
-    }
-    *resume = close;
-    return true;
-  }
-
-  // Declaration of a function-local static without const/constexpr.
-  void RecordStaticLocal(std::size_t i, std::size_t fn_index) {
-    std::string name;
-    for (std::size_t k = i + 1; k < toks_.size() && k < i + 16; ++k) {
-      const std::string& t = Text(k);
-      if (t == "const" || t == "constexpr") {
-        return;
-      }
-      if (t == "=" || t == "{" || t == ";" || t == "(") {
-        break;
-      }
-      if (t == "<") {
-        std::size_t after = MatchAngles(toks_, k);
-        if (after == std::string::npos) {
-          return;
-        }
-        k = after - 1;
-        continue;
-      }
-      if (std::isalpha(static_cast<unsigned char>(t[0])) != 0 || t[0] == '_') {
-        if (Keywords().count(t) == 0) {
-          name = t;
-        }
-      }
-    }
-    if (!name.empty()) {
-      WriteSite site;
-      site.name = name;
-      site.line = Line(i);
-      site.kind = WriteSite::Kind::kStaticLocalDecl;
-      fns_[fn_index].writes.push_back(std::move(site));
-      fns_[fn_index].locals.insert(name);
-    }
-  }
-
   // auto v = [chain.]Callee(...) — records a kAutoCallDecl event so the
   // pass can mark v as a Result variable when Callee returns Result.
   void RecordAutoCallDecl(std::size_t i, std::size_t fn_index) {
@@ -721,7 +436,6 @@ class ModelBuilder {
         Keywords().count(var) > 0) {
       return;
     }
-    fns_[fn_index].locals.insert(var);
     if (Text(i + 2) != "=") {
       return;
     }
@@ -748,16 +462,13 @@ class ModelBuilder {
 
   // Parses a lambda whose intro bracket is at tokens[i]; returns false when
   // the bracket turns out to be a subscript.
-  bool TryParseLambda(std::size_t i, std::size_t enclosing, const std::vector<ParenCtx>& parens,
-                      std::size_t* resume) {
+  bool TryParseLambda(std::size_t i, std::size_t enclosing, std::size_t* resume) {
     std::size_t after_capture = MatchForward(toks_, i, "[", "]");
     if (after_capture == std::string::npos) {
       return false;
     }
     std::size_t k = after_capture;
-    std::size_t param_open = std::string::npos;
     if (Text(k) == "(") {
-      param_open = k;
       k = MatchForward(toks_, k, "(", ")");
       if (k == std::string::npos) {
         return false;
@@ -800,374 +511,35 @@ class ModelBuilder {
       lambda.name = "<lambda>";
     }
     lambda.qualified = fns_[enclosing].qualified + "::" + lambda.name;
-    if (!parens.empty() && !parens.back().callee.empty()) {
-      lambda.callback_of = parens.back().callee;
-    }
-    // Parse the capture list only now: a structured binding (`auto& [id,
-    // job] : map`) bails above and must not leave capture state behind.
-    ParseCaptures(i + 1, after_capture - 1, &lambda);
-    if (param_open != std::string::npos) {
-      RecordLambdaParams(param_open, &lambda);
-    }
     fns_.push_back(std::move(lambda));
     std::size_t lambda_index = fns_.size() - 1;
     *resume = ParseBody(k, lambda_index);
     return true;
   }
 
-  // tokens[begin, end) are the contents of a confirmed lambda's capture
-  // brackets. Init-captures count by their introduced name; their
-  // initializer expressions are skipped to the next top-level comma.
-  void ParseCaptures(std::size_t begin, std::size_t end, FunctionInfo* lambda) {
-    auto is_ident = [](const std::string& s) {
-      return !s.empty() && (std::isalpha(static_cast<unsigned char>(s[0])) != 0 || s[0] == '_');
-    };
-    // Advances past an `= init` to the next top-level comma (or `end`).
-    auto skip_init = [&](std::size_t c) {
-      int d = 0;
-      while (c < end) {
-        const std::string& t = Text(c);
-        if (t == "(" || t == "[" || t == "{") {
-          ++d;
-        } else if (t == ")" || t == "]" || t == "}") {
-          --d;
-        } else if (t == "," && d == 0) {
-          break;
-        }
-        ++c;
-      }
-      return c;
-    };
-    std::size_t c = begin;
-    while (c < end) {
-      const std::string& t = Text(c);
-      if (t == ",") {
-        ++c;
-      } else if (t == "&") {
-        const std::string& next = Text(c + 1);
-        if (c + 1 >= end || next == ",") {
-          lambda->capture_default_ref = true;
-          ++c;
-        } else if (is_ident(next) && next != "this") {
-          lambda->capture_refs.push_back(next);
-          c += 2;
-          if (c < end && Text(c) == "=") {
-            c = skip_init(c);
-          }
-        } else {
-          ++c;
-        }
-      } else if (t == "=") {
-        lambda->capture_default_val = true;
-        ++c;
-      } else if (t == "this") {
-        lambda->captures_this = true;
-        ++c;
-      } else if (t == "*" && Text(c + 1) == "this") {
-        lambda->captures_this = true;
-        c += 2;
-      } else if (is_ident(t)) {
-        lambda->capture_vals.push_back(t);
-        ++c;
-        if (c < end && Text(c) == "=") {
-          c = skip_init(c);
-        }
-      } else {
-        ++c;
-      }
-    }
-  }
-
-  // tokens[param_open] == "(" of a confirmed lambda: the last non-keyword
-  // identifier of each top-level comma segment is a parameter name.
-  void RecordLambdaParams(std::size_t param_open, FunctionInfo* lambda) {
-    std::size_t close = MatchForward(toks_, param_open, "(", ")");
-    if (close == std::string::npos) {
-      return;
-    }
-    int d = 0;
-    std::string name;
-    for (std::size_t q = param_open + 1; q + 1 < close; ++q) {
-      const std::string& t = Text(q);
-      if (t == "(" || t == "[" || t == "{") {
-        ++d;
-      } else if (t == ")" || t == "]" || t == "}") {
-        --d;
-      } else if (t == "<") {
-        std::size_t after = MatchAngles(toks_, q);
-        if (after != std::string::npos && after <= close - 1) {
-          q = after - 1;
-        }
-      } else if (t == "," && d == 0) {
-        if (!name.empty()) {
-          lambda->locals.insert(name);
-        }
-        name.clear();
-      } else if (d == 0 && (std::isalpha(static_cast<unsigned char>(t[0])) != 0 || t[0] == '_') &&
-                 Keywords().count(t) == 0) {
-        name = t;
-      } else if (t == "=" && d == 0) {
-        // Default argument: the name seen so far is the parameter.
-        if (!name.empty()) {
-          lambda->locals.insert(name);
-        }
-        name.clear();
-        while (q + 1 < close - 1 && !(Text(q + 1) == "," && d == 0)) {
-          ++q;
-        }
-      }
-    }
-    if (!name.empty()) {
-      lambda->locals.insert(name);
-    }
-  }
-
-  // A non-keyword identifier inside a body: call sites, ok()/value()
-  // events, whole-statement discards, and mutation sites.
-  void HandleIdent(std::size_t i, std::size_t fn_index, const std::vector<ParenCtx>& parens,
-                   bool stmt_start) {
+  // A non-keyword identifier inside a body: ok()/value() events on a
+  // variable, and value() unwraps of a call's temporary result.
+  void HandleIdent(std::size_t i, std::size_t fn_index) {
     const std::string& t = Text(i);
-    const std::string& prev = Text(i - 1);
     FunctionInfo& fn = fns_[fn_index];
-
-    if (stmt_start && parens.empty()) {
-      RecordDiscardedChain(i, fn_index);
-    }
-
     if (Text(i + 1) == "(") {
-      CallSite call;
-      call.name = t;
-      call.line = Line(i);
-      // Explicit scope qualifier: the "Q" of Q::Name(...). Member-access
-      // prefixes (., ->) leave it empty.
-      if (prev == ":" && Text(i - 2) == ":") {
-        const std::string& q = Text(i - 3);
-        if (!q.empty() && (std::isalpha(static_cast<unsigned char>(q[0])) != 0 || q[0] == '_') &&
-            Keywords().count(q) == 0) {
-          call.qualifier = q;
-        }
-      }
+      // Chained unwrap of a temporary: Callee(...).value().
       std::size_t close = MatchForward(toks_, i + 1, "(", ")");
-      if (close != std::string::npos) {
-        int depth = 0;
-        int commas = 0;
-        bool any_tok = false;
-        bool uncertain = false;
-        for (std::size_t k = i + 2; k + 1 < close; ++k) {
-          const std::string& a = Text(k);
-          any_tok = true;
-          if (a == "(" || a == "[" || a == "{") {
-            ++depth;
-          } else if (a == ")" || a == "]" || a == "}") {
-            --depth;
-          } else if (a == "<" || a == ">") {
-            // Template angles (or comparisons) make comma segmentation
-            // unreliable; leave arg_count at "unknown".
-            uncertain = true;
-          } else if (a == "," && depth == 0) {
-            ++commas;
-          }
-          if ((std::isalpha(static_cast<unsigned char>(a[0])) != 0 || a[0] == '_') &&
-              Keywords().count(a) == 0) {
-            call.arg_idents.push_back(a);
-          }
-        }
-        if (!uncertain) {
-          call.arg_count = any_tok ? commas + 1 : 0;
-        }
-        // Chained unwrap of a temporary: Callee(...).value().
-        if (Text(close) == "." && Text(close + 1) == "value" && Text(close + 2) == "(") {
-          fn.var_events.push_back({VarEvent::Kind::kUnwrap, "", t, Line(close + 1)});
-        }
+      if (close != std::string::npos && Text(close) == "." && Text(close + 1) == "value" &&
+          Text(close + 2) == "(") {
+        fn.var_events.push_back({VarEvent::Kind::kUnwrap, "", t, Line(close + 1)});
       }
-      fn.calls.push_back(std::move(call));
     }
-
     if (Text(i + 1) == "." && Text(i + 2) == "ok" && Text(i + 3) == "(") {
       fn.var_events.push_back({VarEvent::Kind::kOkCheck, t, "", Line(i)});
     } else if (Text(i + 1) == "." && Text(i + 2) == "value" && Text(i + 3) == "(") {
       fn.var_events.push_back({VarEvent::Kind::kUnwrap, t, "", Line(i)});
-    }
-
-    // Mutation detection: a chain rooted at a *bare* identifier (or
-    // this->member) ending in an assignment operator, ++/--, or a
-    // mutating member call. Chains with an explicit object root other
-    // than `this` are skipped: the root may be shard-local, and a
-    // syntactic pass cannot tell (DESIGN.md §12 envelope).
-    bool rooted_at_this = prev == ">" && Text(i - 2) == "-" && Text(i - 3) == "this";
-    bool bare = prev != "." && !(prev == ">" && Text(i - 2) == "-") && prev != ":";
-    if (!bare && !rooted_at_this) {
-      return;
-    }
-    // Prefix increment/decrement. `++hits[i]` targets a subscripted slot.
-    if ((prev == "+" && Text(i - 2) == "+") || (prev == "-" && Text(i - 2) == "-")) {
-      RecordWrite(t, Line(i), rooted_at_this, /*via_arrow=*/false,
-                  /*subscripted=*/Text(i + 1) == "[", /*last_method=*/"", fn_index);
-      return;
-    }
-    // Walk the access chain: subscripts and member selections.
-    std::size_t k = i + 1;
-    bool chained = false;
-    bool first_hop = true;
-    bool via_arrow = false;
-    bool subscripted = false;
-    std::string last = t;
-    for (int guard = 0; guard < 64; ++guard) {
-      if (Text(k) == "[") {
-        std::size_t after = MatchForward(toks_, k, "[", "]");
-        if (after == std::string::npos) {
-          return;
-        }
-        subscripted = true;
-        first_hop = false;
-        k = after;
-        continue;
-      }
-      if (Text(k) == "." ||
-          (Text(k) == "-" && Text(k + 1) == ">" &&
-           (std::isalpha(static_cast<unsigned char>(Text(k + 2)[0])) != 0 ||
-            Text(k + 2)[0] == '_'))) {
-        bool arrow = Text(k) != ".";
-        k += arrow ? 2 : 1;
-        if (Text(k).empty() ||
-            (std::isalpha(static_cast<unsigned char>(Text(k)[0])) == 0 && Text(k)[0] != '_')) {
-          return;
-        }
-        if (first_hop && arrow) {
-          via_arrow = true;
-        }
-        first_hop = false;
-        chained = true;
-        last = Text(k);
-        ++k;
-        continue;
-      }
-      break;
-    }
-    bool is_write = false;
-    bool mutating_call = false;
-    const std::string& op = Text(k);
-    if (op == "=" && Text(k + 1) != "=" && prev != "<" && prev != ">" && prev != "!" &&
-        prev != "=") {
-      // Exclude declarations ("int x = ...", "Region& r = ...", "Foo<T>* p
-      // = ..."): the previous tokens then spell a type, not an expression.
-      bool decl_like = !chained && IsTypeLikePrev(i);
-      is_write = !decl_like;
-    } else if ((op == "+" || op == "-" || op == "*" || op == "/" || op == "%" || op == "&" ||
-                op == "|" || op == "^") &&
-               Text(k + 1) == "=") {
-      is_write = true;
-    } else if ((op == "<" && Text(k + 1) == "<" && Text(k + 2) == "=") ||
-               (op == ">" && Text(k + 1) == ">" && Text(k + 2) == "=")) {
-      is_write = true;
-    } else if ((op == "+" && Text(k + 1) == "+") || (op == "-" && Text(k + 1) == "-")) {
-      is_write = true;
-    } else if (chained && MutatingMethods().count(last) > 0 && Text(k) == "(") {
-      is_write = true;
-      mutating_call = true;
-    }
-    // Local declarations feed the locals set: `Type x = ...;`, `Type x;`,
-    // `Region& r : list` (range-for). Writes to these names are
-    // shard-private for the capture heuristic.
-    if (!chained && IsTypeLikePrev(i) &&
-        (op == ";" || op == "{" || op == ":" || (op == "=" && Text(k + 1) != "="))) {
-      fn.locals.insert(t);
-    }
-    if (is_write) {
-      RecordWrite(t, Line(i), rooted_at_this, via_arrow, subscripted,
-                  mutating_call ? last : "", fn_index);
-    }
-  }
-
-  // True when the tokens before tokens[i] read like a type: an identifier
-  // (a type name or type keyword, not a control/expression keyword), a
-  // closing template angle, or &/* preceded by either.
-  bool IsTypeLikePrev(std::size_t i) const {
-    auto ident_like = [](const std::string& s) {
-      return !s.empty() && (std::isalpha(static_cast<unsigned char>(s[0])) != 0 || s[0] == '_');
-    };
-    static const std::set<std::string> kTypeKeywords = {
-        "auto", "bool", "char",  "int",    "unsigned", "long",
-        "short", "float", "double", "const", "signed"};
-    const std::string& prev = Text(i - 1);
-    if (ident_like(prev)) {
-      return Keywords().count(prev) == 0 || kTypeKeywords.count(prev) > 0;
-    }
-    if (prev == ">") {
-      return true;
-    }
-    if (prev == "&" || prev == "*") {
-      const std::string& p2 = Text(i - 2);
-      return (ident_like(p2) && (Keywords().count(p2) == 0 || kTypeKeywords.count(p2) > 0)) ||
-             p2 == ">";
-    }
-    return false;
-  }
-
-  void RecordWrite(const std::string& root, int line, bool rooted_at_this, bool via_arrow,
-                   bool subscripted, const std::string& last_method, std::size_t fn_index) {
-    WriteSite site;
-    site.name = root;
-    site.line = line;
-    site.kind = (rooted_at_this || EndsWithUnderscore(root)) ? WriteSite::Kind::kMember
-                                                             : WriteSite::Kind::kPlain;
-    // A mutating chain rooted at a plain local object (res.x.push_back) is
-    // recorded as kPlain so the pass can still catch mutable globals.
-    site.via_arrow = via_arrow;
-    site.subscripted = subscripted;
-    site.last_method = last_method;
-    fns_[fn_index].writes.push_back(std::move(site));
-  }
-
-  // `A::B.c->Submit(x);` as a whole statement: records the final callee
-  // whose call result is discarded.
-  void RecordDiscardedChain(std::size_t i, std::size_t fn_index) {
-    std::size_t k = i;
-    for (int guard = 0; guard < 64; ++guard) {
-      const std::string& t = Text(k);
-      if (t.empty() || (std::isalpha(static_cast<unsigned char>(t[0])) == 0 && t[0] != '_') ||
-          Keywords().count(t) > 0) {
-        return;
-      }
-      std::string name = t;
-      ++k;
-      while (Text(k) == ":" && Text(k + 1) == ":") {
-        if (Text(k + 2).empty()) {
-          return;
-        }
-        name = Text(k + 2);
-        k += 3;
-      }
-      if (Text(k) == "(") {
-        std::size_t after = MatchForward(toks_, k, "(", ")");
-        if (after == std::string::npos) {
-          return;
-        }
-        if (Text(after) == ";") {
-          CallSite discarded;
-          discarded.name = name;
-          discarded.line = Line(i);
-          fns_[fn_index].discarded_calls.push_back(std::move(discarded));
-          return;
-        }
-        k = after;
-      }
-      if (Text(k) == ".") {
-        ++k;
-        continue;
-      }
-      if (Text(k) == "-" && Text(k + 1) == ">") {
-        k += 2;
-        continue;
-      }
-      return;
     }
   }
 
   SourceFile* file_;
   std::vector<Token> toks_;
   std::vector<FunctionInfo> fns_;
-  int lock_group_counter_ = 0;
 };
 
 // ---------------------------------------------------- error-discipline ----
@@ -1245,11 +617,6 @@ std::vector<Finding> RunErrorDisciplinePass(const Project& project, const Config
   std::vector<Finding> findings;
   const std::map<std::string, ReturnKinds> table = BuildReturnTable(project);
 
-  auto status_only = [&](const std::string& name) {
-    auto it = table.find(name);
-    return it != table.end() && (it->second.any_status || it->second.any_result) &&
-           !it->second.any_other;
-  };
   auto result_only = [&](const std::string& name) {
     auto it = table.find(name);
     return it != table.end() && it->second.any_result && !it->second.any_other &&
@@ -1258,19 +625,6 @@ std::vector<Finding> RunErrorDisciplinePass(const Project& project, const Config
 
   for (const auto& [path, file] : project.files()) {
     for (const FunctionInfo& fn : file.functions) {
-      // discarded-status: a whole-statement call to a function every
-      // declaration of which returns Status/Result.
-      for (const CallSite& call : fn.discarded_calls) {
-        if (status_only(call.name)) {
-          findings.push_back(
-              {"discarded-status", path, call.line,
-               "result of '" + call.name +
-                   "' (returns Status/Result) is discarded; check it, or cast to (void) / "
-                   "suppress for intentional fire-and-forget",
-               call.name});
-        }
-      }
-
       // unchecked-result-unwrap: replay the Status/Result flow events.
       std::set<std::string> result_vars;
       std::set<std::string> checked;

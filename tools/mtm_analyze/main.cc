@@ -4,7 +4,6 @@
 // Usage:
 //   mtm_analyze --root DIR [--compdb build/compile_commands.json]
 //               [--config tools/mtm_analyze/layers.toml]
-//               [--concurrency tools/mtm_analyze/concurrency.toml]
 //               [--json PATH] [--check-system-includes] [--stats]
 //               [--fix [--check]] [extra-root-relative-files...]
 //
@@ -69,7 +68,6 @@ int main(int argc, char** argv) {
   std::string root = ".";
   std::string compdb;
   std::string config_path;
-  std::string concurrency_path;
   std::string json_path;
   bool fix = false;
   bool check = false;
@@ -85,8 +83,6 @@ int main(int argc, char** argv) {
       compdb = value;
     } else if (!(value = ArgValue(arg, "config")).empty()) {
       config_path = value;
-    } else if (!(value = ArgValue(arg, "concurrency")).empty()) {
-      concurrency_path = value;
     } else if (!(value = ArgValue(arg, "json")).empty()) {
       json_path = value;
     } else if (arg == "--fix") {
@@ -99,7 +95,7 @@ int main(int argc, char** argv) {
       stats = true;
     } else if (arg == "--help") {
       std::printf("usage: mtm_analyze --root=DIR [--compdb=PATH] [--config=PATH] "
-                  "[--concurrency=PATH] [--json=PATH] [--check-system-includes] "
+                  "[--json=PATH] [--check-system-includes] "
                   "[--stats] [--fix [--check]] [files...]\n");
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
@@ -167,16 +163,7 @@ int main(int argc, char** argv) {
       config_path = root + "/tools/mtm_analyze/layers.toml";
     }
   }
-  if (concurrency_path.empty()) {
-    std::ifstream probe(root + "/tools/mtm_analyze/concurrency.toml");
-    if (probe) {
-      concurrency_path = root + "/tools/mtm_analyze/concurrency.toml";
-    }
-  }
   if (!config_path.empty() && !LoadConfigFile(config_path, &config)) {
-    return 2;
-  }
-  if (!concurrency_path.empty() && !LoadConfigFile(concurrency_path, &config)) {
     return 2;
   }
   config.check_system_includes = check_system_includes;

@@ -446,17 +446,6 @@ bool ParseConfig(const std::string& text, Config* config, std::string* error) {
         *error = "config:" + std::to_string(line_no) + ": unknown error_discipline key " + key;
         return false;
       }
-    } else if (section == "concurrency") {
-      if (key == "task_callbacks") {
-        config->task_callbacks = items;
-      } else if (key == "task_entries") {
-        config->task_entries = items;
-      } else if (key == "mutation_allow") {
-        config->mutation_allow = items;
-      } else {
-        *error = "config:" + std::to_string(line_no) + ": unknown concurrency key " + key;
-        return false;
-      }
     } else {
       *error = "layers.toml:" + std::to_string(line_no) + ": unknown section [" + section + "]";
       return false;

@@ -3,7 +3,7 @@
 // A deliberately small, dependency-free analyzer (no libclang): a lexer
 // that strips comments/strings, an include-graph builder seeded from
 // build/compile_commands.json, a per-file function model (functions,
-// lambdas, call sites, write sites), and five passes over the result:
+// lambdas, Status/Result flow events), and four passes over the result:
 //
 //   include-graph    unused direct project includes (IWYU-lite), reliance
 //                    on transitive includes for symbols a file uses,
@@ -16,28 +16,11 @@
 //                    reaches an output sink, wall-clock reads outside
 //                    sanctioned sites, and rand()/random_device outside the
 //                    project RNG.
-//   error-discipline fallible operations return Status/Result<T> and every
-//                    return is consumed: discarded whole-statement calls to
-//                    Status/Result-returning functions, raw bool/int error
-//                    codes on fallible paths, and Result unwraps not
-//                    dominated by an ok() check.
-//   concurrency      code reachable from sharded task entries (ThreadPool::
-//                    ParallelFor lambdas, ForEachRegionSharded callbacks —
-//                    declared in tools/mtm_analyze/concurrency.toml) may only
-//                    mutate state through the slot-merge/ObsDelta discipline:
-//                    member writes, namespace-scope-mutable writes, mutable
-//                    static locals, and writes through reference/pointer
-//                    captures outside the allowlist are flagged. The walk is
-//                    whole-program: calls resolve across translation units
-//                    through the linked model, and an ambiguous name becomes
-//                    a conservative multi-target edge instead of ending the
-//                    walk.
-//   lock-discipline  members annotated `mtm-analyze: guarded_by(mu)` must be
-//                    written under a std::lock_guard/unique_lock/scoped_lock
-//                    scope on that mutex (or inside a function annotated
-//                    `mtm-analyze: requires(mu)`), and no two mutexes may be
-//                    acquired in inconsistent orders anywhere in the linked
-//                    call graph.
+//   error-discipline fallible operations return Status/Result<T>: raw
+//                    bool/int error codes on fallible paths, and Result
+//                    unwraps not dominated by an ok() check. (A discarded
+//                    Status/Result is a compiler error: both are
+//                    [[nodiscard]] and CI builds with -Werror.)
 //
 // Findings can be suppressed inline with
 //   // mtm-analyze: allow(<check-or-pass>) <justification>
@@ -94,50 +77,6 @@ struct IncludeEdge {
   bool angle = false;     // spelled <...> rather than "..."
 };
 
-// A function call site inside a function body.
-struct CallSite {
-  std::string name;  // unqualified callee name
-  int line = 0;
-  // Explicit scope qualifier at the call site ("Q" in Q::Name(...)), used
-  // by the linked resolver; empty for unqualified and member calls.
-  std::string qualifier;
-  // Top-level argument count, or -1 when the argument list contains tokens
-  // the comma counter cannot segment reliably (template angles).
-  int arg_count = -1;
-  // Identifier tokens appearing anywhere inside the call's argument list;
-  // used to seed task entries from named lambdas passed by identifier.
-  std::vector<std::string> arg_idents;
-};
-
-// A mutation site inside a function body.
-struct WriteSite {
-  enum class Kind {
-    kMember,           // bare or this-> write/mutating call on a foo_ member
-    kPlain,            // write to an unqualified identifier (local or global)
-    kStaticLocalDecl,  // declaration of a mutable function-local static
-  };
-  std::string name;  // written lvalue root identifier
-  int line = 0;
-  Kind kind = Kind::kPlain;
-  bool via_arrow = false;   // first chain hop is `->`: write lands on the pointee
-  bool subscripted = false; // some chain hop is `[...]`: task-indexed slot write
-  // Final member of a mutating-method chain ("push_back", "fetch_add", ...);
-  // empty for operator writes. Atomic RMW names exempt the capture check.
-  std::string last_method;
-};
-
-// A std::lock_guard/unique_lock/scoped_lock acquisition inside a body.
-struct LockSite {
-  std::string mutex;  // dotted path of the guarded expression ("mu_", "s.mu")
-  int line = 0;       // acquisition line
-  int end_line = 0;   // last line of the enclosing scope (guard lifetime)
-  // Mutexes already held (in acquisition order) when this one was taken.
-  std::vector<std::string> held;
-  // Sites from one multi-mutex std::scoped_lock share a group id: they are
-  // acquired atomically, so no ordering pair is recorded between them.
-  int group = -1;
-};
-
 // Status/Result flow events inside a function body, in source order. The
 // error-discipline pass replays them per variable.
 struct VarEvent {
@@ -161,31 +100,7 @@ struct FunctionInfo {
                             // constructors/destructors/lambdas
   bool has_body = false;
   bool is_lambda = false;
-  // Top-level parameter count of the declarator, used by the linked
-  // resolver's arity filter.
-  int param_count = 0;
-  // For a lambda appearing directly in a call's argument list: the callee
-  // name of that call (e.g. "ParallelFor"); empty otherwise.
-  std::string callback_of;
-  // Lambda capture model: [&] / [=] defaults, explicit by-reference and
-  // by-value capture names (init-captures count by their introduced name),
-  // and whether `this` is captured.
-  bool capture_default_ref = false;
-  bool capture_default_val = false;
-  bool captures_this = false;
-  std::vector<std::string> capture_refs;
-  std::vector<std::string> capture_vals;
-  // Names provably local to this body: declared locals, static locals,
-  // range-for bindings, and (for lambdas) parameters. Writes to these are
-  // shard-private and never capture findings.
-  std::set<std::string> locals;
-  std::vector<CallSite> calls;
-  std::vector<WriteSite> writes;
   std::vector<VarEvent> var_events;
-  std::vector<LockSite> locks;
-  // Whole-statement call chains whose final return value is discarded
-  // (`Foo(x);`, `obj.Submit(o);`): the final callee of each.
-  std::vector<CallSite> discarded_calls;
 };
 
 struct SourceFile {
@@ -211,13 +126,10 @@ struct SourceFile {
   // Functions and lambdas defined or declared in this file, in source order
   // (lambdas follow their enclosing function).
   std::vector<FunctionInfo> functions;
-
-  // Namespace-scope variables declared here without const/constexpr.
-  std::set<std::string> mutable_globals;
 };
 
-// Builds `functions` and `mutable_globals` for a parsed file. Exposed for
-// unit tests; Project::Load calls it for every file.
+// Builds `functions` for a parsed file. Exposed for unit tests;
+// Project::Load calls it for every file.
 void BuildFunctionModel(SourceFile* file);
 
 // A set of source files closed under project-include resolution.
@@ -255,20 +167,12 @@ struct Config {
   std::vector<std::string> status_paths;
   std::vector<std::string> fallible_verbs;
 
-  // [concurrency] — functions whose callable arguments run on pool workers,
-  // explicitly-seeded task entry functions, and sanctioned mutation points
-  // ("Class::Method", "Class::*", or a bare name).
-  std::vector<std::string> task_callbacks;
-  std::vector<std::string> task_entries;
-  std::vector<std::string> mutation_allow;
-
   // Enables the dead-system-include check (--check-system-includes).
   bool check_system_includes = false;
 };
 
-// Parses the TOML subset used by layers.toml / concurrency.toml
-// ([section], key = ["a", "b"]). Merges into `config` so multiple files can
-// feed one Config. Returns false and fills `error` on malformed input.
+// Parses the TOML subset used by layers.toml ([section], key = ["a", "b"]).
+// Merges into `config`. Returns false and fills `error` on malformed input.
 bool ParseConfig(const std::string& text, Config* config, std::string* error);
 
 // Extracts the "file" entries of a compile_commands.json database.
@@ -294,91 +198,10 @@ struct Finding {
   std::string subject;
 };
 
-// ----------------------------------------------------------- linked model --
-
-// A function identified by (file path, index into that file's functions
-// vector). Stable across the whole-program walk.
-struct FnRef {
-  std::string file;
-  int index = 0;
-  bool operator<(const FnRef& other) const {
-    return file != other.file ? file < other.file : index < other.index;
-  }
-  bool operator==(const FnRef& other) const {
-    return file == other.file && index == other.index;
-  }
-};
-
-// Edge-resolution counters for the whole-program walk (reported by --stats).
-struct CallEdgeStats {
-  std::size_t resolved_edges = 0;      // exactly one target body
-  std::size_t multi_target_edges = 0;  // ambiguous: every candidate walked
-  std::size_t external_edges = 0;      // no project body visible
-};
-
-// The per-TU function models of every file in the project, merged into one
-// linked call graph. Calls resolve by qualified name with include-graph
-// visibility and argument-arity disambiguation; ambiguity yields a
-// conservative multi-target edge (all candidates), never a truncated walk.
-class LinkedModel {
- public:
-  explicit LinkedModel(const Project& project);
-
-  const FunctionInfo& Fn(const FnRef& ref) const;
-  const SourceFile& File(const FnRef& ref) const;
-
-  // Targets of `call` made from `caller`. Resolution order: explicit
-  // qualifier match, enclosing-class member match, same-file definition,
-  // include-visibility filter, then the arity filter; survivors of size one
-  // count as resolved, more as a multi-target edge, zero as external.
-  // STL-like names short-circuit to empty without touching `stats`.
-  std::vector<FnRef> Resolve(const FnRef& caller, const CallSite& call,
-                             CallEdgeStats* stats) const;
-
-  // Traversal seeds per [concurrency]: callback lambdas of task_callbacks
-  // (inline or passed by identifier) and task_entries matched by qualified
-  // or plain name.
-  std::vector<FnRef> TaskSeeds(const Config& config) const;
-
-  // BFS closure of TaskSeeds over Resolve, stopping at mutation_allow
-  // matches. `stats` (optional) accumulates edge counters.
-  std::set<FnRef> TaskReachable(const Config& config, CallEdgeStats* stats) const;
-
-  // Union of every file's namespace-scope mutable globals.
-  const std::set<std::string>& mutable_globals() const { return mutable_globals_; }
-
- private:
-  const Project& project_;
-  // Definitions (has_body) by unqualified and by qualified name.
-  std::map<std::string, std::vector<FnRef>> by_name_;
-  std::map<std::string, std::vector<FnRef>> by_qualified_;
-  // Files holding a bodyless declaration of each name (visibility widening:
-  // a declaration in a visible header makes every definition a candidate).
-  std::map<std::string, std::set<std::string>> decl_files_;
-  // Per-file include closure, including the file itself.
-  std::map<std::string, std::set<std::string>> closures_;
-  std::set<std::string> mutable_globals_;
-};
-
-// --------------------------------------------------------- lock discipline --
-
-// Member names annotated `// mtm-analyze: guarded_by(mu)` (on the member's
-// declaration line or the line above), mapped to the named mutex.
-std::map<std::string, std::string> CollectGuardedMembers(const Project& project);
-
-// The mutex named by `// mtm-analyze: requires(mu)` on the line above (or
-// two above) `fn`'s definition; empty when unannotated.
-std::string RequiredMutex(const SourceFile& file, const FunctionInfo& fn);
-
 std::vector<Finding> RunIncludeGraphPass(const Project& project, const Config& config);
 std::vector<Finding> RunLayeringPass(const Project& project, const Config& config);
 std::vector<Finding> RunDeterminismPass(const Project& project, const Config& config);
 std::vector<Finding> RunErrorDisciplinePass(const Project& project, const Config& config);
-std::vector<Finding> RunConcurrencyPass(const Project& project, const Config& config);
-// Overload used by --stats: accumulates edge-resolution counters.
-std::vector<Finding> RunConcurrencyPass(const Project& project, const Config& config,
-                                        CallEdgeStats* stats);
-std::vector<Finding> RunLockDisciplinePass(const Project& project, const Config& config);
 
 // Every check name the tool can emit, plus the pass names (both are valid
 // suppression targets). Keep tools/mtm_lint/mtm_lint.py's
@@ -388,7 +211,6 @@ const std::set<std::string>& KnownChecks();
 // Aggregate counters for --stats.
 struct AnalyzeStats {
   std::size_t files_checked = 0;
-  CallEdgeStats edges;
   // Post-suppression finding counts keyed by check name (zero-count checks
   // are omitted).
   std::map<std::string, std::size_t> findings_by_check;
@@ -421,8 +243,7 @@ std::string FormatText(const std::vector<Finding>& findings);
 //   {"files_checked": N, "findings": [...], "ok": bool}
 std::string FormatJson(const std::vector<Finding>& findings, std::size_t files_checked);
 
-// Human-readable --stats block: files analyzed, resolved vs. ambiguous vs.
-// external call edges, and per-check finding counts.
+// Human-readable --stats block: files analyzed and per-check finding counts.
 std::string FormatStats(const AnalyzeStats& stats);
 
 }  // namespace mtm::analyze

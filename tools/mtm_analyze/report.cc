@@ -69,9 +69,6 @@ std::string FormatStats(const AnalyzeStats& stats) {
   std::ostringstream os;
   os << "mtm_analyze stats:\n";
   os << "  files analyzed:     " << stats.files_checked << "\n";
-  os << "  call edges:         " << stats.edges.resolved_edges << " resolved, "
-     << stats.edges.multi_target_edges << " multi-target, " << stats.edges.external_edges
-     << " external\n";
   if (stats.findings_by_check.empty()) {
     os << "  findings:           none\n";
   } else {

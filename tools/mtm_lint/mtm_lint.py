@@ -97,11 +97,8 @@ VALID_SUPPRESSION_TARGETS = {
     "unused-include", "transitive-include", "include-cycle", "dead-system-include",
     "layering",
     "unordered-iteration", "wall-clock", "raw-random",
-    "discarded-status", "raw-error-return", "unchecked-result-unwrap",
-    "task-member-write", "task-static-write", "task-capture-write",
-    "unguarded-member-write", "lock-order",
-    "include-graph", "determinism", "error-discipline", "concurrency",
-    "lock-discipline", "suppression",
+    "raw-error-return", "unchecked-result-unwrap",
+    "include-graph", "determinism", "error-discipline", "suppression",
 }
 
 

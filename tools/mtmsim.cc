@@ -21,11 +21,6 @@
 //   --overhead=F        profiling overhead target                    [0.05]
 //   --alpha=F           EMA weight (Equation 2)                      [0.5]
 //   --num-scans=N       PTE scans per sample per interval            [3]
-//   --scan-threads=N    workers for the sharded PTE-scan engine;
-//                       output is byte-identical for any value       [1]
-//   --migrate-threads=N helper threads for the move_memory_regions
-//                       copy stage; output is byte-identical for any
-//                       value                                        [1]
 //   --two-tier          use the single-socket DRAM+PM machine        [false]
 //   --spread-threads    spread threads over both sockets             [false]
 //   --no-pebs           disable performance-counter assistance       [false]
@@ -55,6 +50,9 @@
 //   --trace-out=PATH    write Chrome trace_event JSON (Perfetto)     [off]
 //   --trace-flows       add async-flow arrows linking migrate_arm to
 //                       the matching finish span (needs --trace-out) [false]
+//
+// An unknown flag or a malformed number (--alpha=abc) is an error: mtmsim
+// prints it and exits with status 2 before running anything.
 #include <cstdio>
 #include <string>
 
@@ -90,10 +88,6 @@ int main(int argc, char** argv) {
   config.mtm.overhead_fraction = flags.GetDouble("overhead", 0.05);
   config.mtm.alpha = flags.GetDouble("alpha", 0.5);
   config.mtm.num_scans = static_cast<mtm::u32>(flags.GetU64("num-scans", 3));
-  config.mtm.scan_threads = static_cast<mtm::u32>(
-      flags.GetU64("scan-threads", flags.GetU64("scan_threads", 1)));
-  config.mtm.migrate_threads = static_cast<mtm::u32>(
-      flags.GetU64("migrate-threads", flags.GetU64("migrate_threads", 1)));
   config.mtm.use_pebs = !flags.GetBool("no-pebs", false);
   if (flags.GetBool("sync-migration", false)) {
     config.mtm.mechanism = mtm::MechanismKind::kMmrSync;
@@ -157,6 +151,11 @@ int main(int argc, char** argv) {
   }
   if (!heatmap_out.empty()) {
     options.heatmap_export = &heatmap_export;
+  }
+
+  if (mtm::Status status = flags.Check(); !status.ok()) {
+    std::fprintf(stderr, "mtmsim: %s (see --help)\n", status.message().c_str());
+    return 2;
   }
 
   mtm::RunResult result = mtm::RunExperiment(
