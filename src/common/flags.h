@@ -4,6 +4,7 @@
 // parse, so a tool can reject what it did not understand (Check).
 #pragma once
 
+#include <cctype>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -55,6 +56,11 @@ class FlagSet {
     }
     char* end = nullptr;
     const u64 parsed = std::strtoull(v->c_str(), &end, 10);
+    // strtoull also skips leading whitespace and takes a sign (it negates
+    // "-1" to 2^64-1), so an unsigned value must also start with a digit.
+    if (std::isdigit(static_cast<unsigned char>((*v)[0])) == 0) {
+      end = v->data();  // malformed, as if nothing parsed
+    }
     return Parsed(name, *v, end) ? parsed : fallback;
   }
 

@@ -89,7 +89,6 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
   engine_ = std::make_unique<AccessEngine>(*machine_, page_table_, clock_, *counters_,
                                            engine_config);
   engine_->set_pebs(pebs_.get());
-  engine_->set_tracker(&tracker_);
 
   // Placement policy per solution.
   PlacementPolicy placement = PlacementPolicy::kFirstTouch;
@@ -100,10 +99,15 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
     placement = PlacementPolicy::kPmOnly;
   }
 
-  // Lay out the workload, then register tracking over its VMAs.
+  // Lay out the workload. Only Thermostat reads per-page access counts, so
+  // only it pays for counting them: every other solution leaves the tracker
+  // empty and unwired, and its per-interval reset loops over no ranges.
   workload.Build(address_space_);
-  for (const Vma& vma : address_space_.vmas()) {
-    tracker_.Register(vma.start, vma.len);
+  if (kind == SolutionKind::kThermostatProfilerMtmMigration) {
+    for (const Vma& vma : address_space_.vmas()) {
+      tracker_.Register(vma.start, vma.len);
+    }
+    engine_->set_tracker(&tracker_);
   }
 
   fault_handler_ = std::make_unique<PlacementFaultHandler>(*machine_, page_table_, *frames_,

@@ -80,18 +80,17 @@ void MtmProfiler::SelectSamples() {
   // all other regions receive their quota of random pages.
   const u64 num_ps = NumPageSamples();
   u64 used = 0;
-  u64 region_index = 0;
-  const u64 region_count = regions_.size();
 
   for (auto& [start, region] : regions_) {
     region.sampled_pages.clear();
     region.sample_hits.clear();
-    ++region_index;
-    if (pebs_ != nullptr && IsSlowTierRegion(region)) {
-      continue;  // nominated lazily by the PEBS window
-    }
+    // The budget test comes first: it is free, and once the budget is spent
+    // both tests skip the region alike, so no page-table probe is wasted.
     if (used >= num_ps) {
       continue;  // over budget: overhead control will merge regions down
+    }
+    if (pebs_ != nullptr && IsSlowTierRegion(region)) {
+      continue;  // nominated lazily by the PEBS window
     }
     u32 quota = region.sample_quota;
     if (!config_.adaptive_sampling) {
@@ -115,8 +114,6 @@ void MtmProfiler::SelectSamples() {
     }
     used += quota;
   }
-  (void)region_count;
-  (void)region_index;
   // Prime: clear any stale accessed bit so the first scan measures this
   // interval, not history.
   ScanSampledPages(ScanMode::kPrime);
@@ -231,10 +228,6 @@ void MtmProfiler::MergePass(ProfileOutput& out) {
     bool adjacent = a.end == b.start;
     bool similar = std::abs(a.hi - b.hi) < tau_m_current_;
     bool both_profiled = !a.sampled_pages.empty() || !b.sampled_pages.empty();
-    // Regions resident on different components never merge: a merged region
-    // headed by fast-tier pages would hide its slow-tier tail from the
-    // PEBS-assisted slow-tier profiling path and from residency probes.
-    bool same_tier = RegionComponent(a) == RegionComponent(b);
     // Never merge a union whose combined sample disparity already exceeds
     // the split threshold: the merged region would immediately qualify for
     // splitting, and the merge/split churn would erase refinement.
@@ -248,7 +241,13 @@ void MtmProfiler::MergePass(ProfileOutput& out) {
     }
     bool split_worthy =
         min_hit != ~0u && static_cast<double>(max_hit - min_hit) > config_.tau_s;
-    if (adjacent && similar && both_profiled && same_tier && !split_worthy) {
+    // Regions resident on different components never merge: a merged region
+    // headed by fast-tier pages would hide its slow-tier tail from the
+    // PEBS-assisted slow-tier profiling path and from residency probes. This
+    // test costs two page-table lookups, so it runs only when every cheap
+    // test has passed.
+    if (adjacent && similar && both_profiled && !split_worthy &&
+        RegionComponent(a) == RegionComponent(b)) {
       // Combined sample total is halved, floor one (§5.2); the freed quota
       // goes to the redistribution pool.
       u32 combined = a.sample_quota + b.sample_quota;

@@ -1,13 +1,16 @@
-// Dense per-page access counting over registered address ranges.
-//
-// Two consumers, carefully separated:
-//  * the ground-truth oracle (Figure 1 recall/accuracy, Figure 6 heatmaps,
-//    Table 3 hot-page volumes) — it may read exact counts because it is
-//    measurement infrastructure, not part of any profiler under test;
-//  * the Thermostat profiler model — Thermostat counts accesses to its
-//    sampled 4 KiB pages exactly (via mprotect + protection faults), so its
-//    model is allowed to read the exact count of *its sampled pages only*,
-//    paying the paper-reported higher per-sample cost.
+// Dense per-page access counting over registered address ranges. It costs
+// 8 bytes per 4 KiB page and a full clear at every interval boundary, so only
+// a reader pays for it:
+//  * in a simulation run, the Thermostat profiler model is the one reader.
+//    Thermostat counts accesses to its sampled 4 KiB pages exactly (via
+//    mprotect + protection faults), so its model is allowed to read the exact
+//    count of *its sampled pages only*, paying the paper-reported higher
+//    per-sample cost. `Solution` registers the VMAs and wires the tracker
+//    into the access engine for thermostat+mtm-migration alone; every other
+//    solution keeps an empty, unwired tracker whose ResetEpoch does nothing.
+//  * the Figure 1 and Figure 6 benches build their own tracker as ground
+//    truth for recall/accuracy and heatmaps — they may read exact counts
+//    because they are measurement infrastructure, not a profiler under test.
 #pragma once
 
 #include <vector>

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <memory>
 #include <ostream>
 #include <string>
 
@@ -10,6 +11,9 @@
 #include "src/core/experiment.h"
 #include "src/core/solution.h"
 #include "src/migration/mechanism.h"
+#include "src/mem/address_space.h"
+#include "src/workloads/workload.h"
+#include "src/workloads/workload_factory.h"
 
 namespace mtm {
 namespace {
@@ -31,6 +35,34 @@ TEST(SolutionTest, NamesRoundTrip) {
     EXPECT_EQ(SolutionKindFromName(SolutionKindName(kind)), kind);
   }
   EXPECT_EQ(Figure4Solutions().size(), 6u);
+}
+
+TEST(SolutionTest, TrackerWiredOnlyForThermostat) {
+  // Only Thermostat reads per-page access counts, so only its solution
+  // registers the VMAs with the tracker and counts accesses into it.
+  const ExperimentConfig config = TinyConfig();
+  for (SolutionKind kind :
+       {SolutionKind::kFirstTouch, SolutionKind::kHmc, SolutionKind::kVanillaTieredAutoNuma,
+        SolutionKind::kTieredAutoNuma, SolutionKind::kAutoTiering, SolutionKind::kHemem,
+        SolutionKind::kMtm, SolutionKind::kThermostatProfilerMtmMigration,
+        SolutionKind::kAutoNumaProfilerMtmMigration}) {
+    SCOPED_TRACE(SolutionKindName(kind));
+    std::unique_ptr<Workload> workload =
+        MakeWorkload("gups", config.sim_scale, config.num_threads, config.seed);
+    Solution solution(kind, config, *workload);
+    RunSimulation(*workload, solution, config);
+    const bool thermostat = kind == SolutionKind::kThermostatProfilerMtmMigration;
+    u64 vma_pages = 0;
+    for (const Vma& vma : solution.address_space().vmas()) {
+      vma_pages += (PageAlignUp(vma.end()) - PageAlignDown(vma.start)) / kPageSize;
+    }
+    ASSERT_GT(vma_pages, 0u);
+    EXPECT_EQ(solution.tracker().TotalPages(), thermostat ? vma_pages : 0u);
+    // The run ends on an epoch reset, so one more access is the only count.
+    const VirtAddr addr = solution.address_space().vmas().front().start;
+    solution.engine().Apply(addr, /*is_write=*/false, /*socket=*/0);
+    EXPECT_EQ(solution.tracker().CountSince(VpnOf(addr)), thermostat ? 1u : 0u);
+  }
 }
 
 TEST(DriverTest, FirstTouchNeverMigrates) {

@@ -130,6 +130,19 @@ TEST(FlagsTest, CheckRejectsUnqueriedFlagsAndMalformedNumbers) {
   EXPECT_NE(malformed.message().find("--alpha=abc"), std::string::npos) << malformed.message();
 }
 
+TEST(FlagsTest, UnsignedValuesMustStartWithADigit) {
+  // strtoull alone would read "-1" as 2^64-1 and skip a sign or whitespace.
+  const char* argv[] = {"prog", "--seed=-1", "--intervals=+5", "--scale= 7", "--threads=16"};
+  FlagSet flags(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetU64("seed", 42), 42u);
+  EXPECT_EQ(flags.GetU64("intervals", 400), 400u);
+  EXPECT_EQ(flags.GetU64("scale", 512), 512u);
+  EXPECT_EQ(flags.GetU64("threads", 8), 16u);
+  Status status = flags.Check();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("--seed=-1"), std::string::npos) << status.message();
+}
+
 TEST(FlagsTest, CheckPassesWhenEveryFlagWasQueried) {
   const char* argv[] = {"prog", "--threads=16", "--overhead=0.1", "--two-tier"};
   FlagSet flags(4, const_cast<char**>(argv));

@@ -51,8 +51,9 @@
 //   --trace-flows       add async-flow arrows linking migrate_arm to
 //                       the matching finish span (needs --trace-out) [false]
 //
-// An unknown flag or a malformed number (--alpha=abc) is an error: mtmsim
-// prints it and exits with status 2 before running anything.
+// An unknown flag, a malformed number (--alpha=abc, --seed=-1) or an unknown
+// --format is an error: mtmsim prints it and exits with status 2 before
+// running anything.
 #include <cstdio>
 #include <string>
 
@@ -128,6 +129,9 @@ int main(int argc, char** argv) {
     format = mtm::ReportFormat::kCsv;
   } else if (format_name == "json") {
     format = mtm::ReportFormat::kJson;
+  } else if (format_name != "human") {
+    std::fprintf(stderr, "bad --format: %s (want human|csv|json)\n", format_name.c_str());
+    return 2;
   }
 
   mtm::RunOptions options;
