@@ -54,7 +54,8 @@ class VirtAddr : public strong_internal::Ordinal<VirtAddr, u64> {
   constexpr bool IsAligned(u64 alignment) const { return (value() & (alignment - 1)) == 0; }
   // Offset of this address within its enclosing `alignment`-sized block.
   constexpr u64 OffsetIn(u64 alignment) const { return value() & (alignment - 1); }
-  // The radix-tree index of this address at `shift` (e.g. kPageShift).
+  // This address shifted right by `shift`: its page number at kPageShift,
+  // a page-table index once masked.
   constexpr u64 Shifted(u64 shift) const { return value() >> shift; }
 
   // An address offset by a byte length is an address.

@@ -40,18 +40,18 @@ const char* SolutionKindName(SolutionKind kind) {
   return "?";
 }
 
-SolutionKind SolutionKindFromName(const std::string& name) {
+bool SolutionKindFromName(const std::string& name, SolutionKind* out) {
   for (SolutionKind k :
        {SolutionKind::kFirstTouch, SolutionKind::kHmc, SolutionKind::kVanillaTieredAutoNuma,
         SolutionKind::kTieredAutoNuma, SolutionKind::kAutoTiering, SolutionKind::kHemem,
         SolutionKind::kMtm, SolutionKind::kThermostatProfilerMtmMigration,
         SolutionKind::kAutoNumaProfilerMtmMigration}) {
     if (name == SolutionKindName(k)) {
-      return k;
+      *out = k;
+      return true;
     }
   }
-  MTM_CHECK(false) << "unknown solution: " << name;
-  return SolutionKind::kMtm;
+  return false;
 }
 
 std::vector<SolutionKind> Figure4Solutions() {

@@ -42,7 +42,8 @@ enum class SolutionKind {
 };
 
 const char* SolutionKindName(SolutionKind kind);
-SolutionKind SolutionKindFromName(const std::string& name);
+// False (and *out untouched) for an unknown name.
+bool SolutionKindFromName(const std::string& name, SolutionKind* out);
 std::vector<SolutionKind> Figure4Solutions();
 
 // Owns the full simulation stack for one run. Construction order matters:

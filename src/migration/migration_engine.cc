@@ -209,7 +209,6 @@ bool MigrationEngine::ReclaimFrom(ComponentId component, Bytes bytes_needed, int
       });
     }
   }
-  page_table_.BumpGeneration();
   return frames_.free_bytes(component) >= bytes_needed;
 }
 
@@ -246,7 +245,6 @@ MigrationEngine::CommitOutcome MigrationEngine::CommitMove(const MigrationOrder&
     RecordMigrationBytes(order.dst, size);
     out.moved += size;
   });
-  page_table_.BumpGeneration();
   stats_.bytes_migrated += out.moved;
   stats_.bytes_failed += out.failed_space;
   if (!out.moved.IsZero()) {
@@ -807,7 +805,6 @@ Bytes MigrationEngine::DrainComponent(ComponentId component) {
       failed += size;
     });
   }
-  page_table_.BumpGeneration();
   ++stats_.tier_drains;
   stats_.drained_bytes += drained;
   stats_.drain_failed_bytes += failed;

@@ -34,7 +34,6 @@ void AutoNumaProfiler::OnIntervalStart() {
                                  pte.Set(Pte::kHintArmed);
                                  ++armed_this_interval_;
                                });
-    page_table_.BumpGeneration();
     scan_cursor_ = (scan_cursor_ + chunk) % total;
     remaining -= chunk;
   }

@@ -158,7 +158,6 @@ void MtmProfiler::ScanSampledPages(ScanMode mode) {
   const u64 hint_base = scans_since_hint_;
   const u64 hint_period = config_.hint_fault_period;
   u64 scanned = 0;  // 1-based global scan index after each increment
-  std::vector<VirtAddr> armed;
   for (auto& [start, region] : regions_) {
     for (std::size_t i = 0; i < region.sampled_pages.size(); ++i) {
       bool accessed = false;
@@ -172,20 +171,12 @@ void MtmProfiler::ScanSampledPages(ScanMode mode) {
       }
       // Every hint_fault_period-th scan arms a hint fault on the scanned
       // page so the next access reveals the accessing socket (§6.2).
-      if ((hint_base + scanned) % hint_period == 0) {
-        armed.push_back(region.sampled_pages[i]);
+      if (mapped && (hint_base + scanned) % hint_period == 0) {
+        page_table_.Find(region.sampled_pages[i])->Set(Pte::kHintArmed);
       }
     }
   }
   scans_this_interval_ += scanned;
-  // Arm the collected hint faults once the pass is done, in scan order.
-  for (VirtAddr addr : armed) {
-    Pte* pte = page_table_.Find(addr);
-    if (pte != nullptr) {
-      pte->Set(Pte::kHintArmed);
-      page_table_.BumpGeneration();
-    }
-  }
   if (mode == ScanMode::kScan) {
     if (metrics_ != nullptr) {
       metrics_->Add(metrics_->Counter("profiler/pte_scans"), scanned);

@@ -13,8 +13,7 @@ AccessEngine::AccessEngine(const Machine& machine, PageTable& page_table, SimClo
       page_table_(page_table),
       clock_(clock),
       counters_(counters),
-      config_(config),
-      tlb_(kTlbSize) {
+      config_(config) {
   MTM_CHECK_GT(config_.num_threads, 0u);
 }
 
@@ -38,36 +37,22 @@ SimNanos AccessEngine::PageFillCost(u32 socket, ComponentId component) const {
                          static_cast<double>(config_.num_threads));
 }
 
-Pte* AccessEngine::Translate(VirtAddr addr) {
-  Vpn vpn = VpnOf(addr);
-  TlbEntry& slot = tlb_[vpn.value() & (kTlbSize - 1)];
-  if (slot.vpn == vpn && slot.generation == page_table_.generation()) {
-    return slot.pte;
-  }
-  Pte* pte = page_table_.Find(addr);
-  if (pte != nullptr) {
-    slot = TlbEntry{vpn, pte, page_table_.generation()};
-  }
-  return pte;
-}
-
 ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
   ++total_accesses_;
-  Pte* pte = Translate(addr);
+  Pte* pte = page_table_.Find(addr);
   if (pte == nullptr) {
     MTM_CHECK(fault_handler_ != nullptr) << "page fault with no handler, addr=" << addr;
     ++page_faults_;
     clock_.AdvanceApp(config_.page_fault_ns / config_.num_threads);
     ComponentId placed = fault_handler_->HandlePageFault(addr, socket, is_write);
     MTM_CHECK_NE(placed, kInvalidComponent) << "unserviceable page fault";
-    pte = Translate(addr);
+    pte = page_table_.Find(addr);
     MTM_CHECK(pte != nullptr) << "fault handler did not map the page";
   }
 
   // Hint fault (NUMA balancing): record the accessing socket, then proceed.
   if (pte->flags & Pte::kHintArmed) {
     pte->Clear(Pte::kHintArmed);
-    page_table_.BumpGeneration();
     hint_fault_buffer_.push_back(HintFaultEvent{addr, socket, is_write});
     ++hint_faults_;
     clock_.AdvanceApp(config_.hint_fault_ns / config_.num_threads);
@@ -80,7 +65,6 @@ ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
   // §14).
   if (is_write && pte->write_tracked()) {
     pte->Clear(Pte::kWriteTracked);
-    page_table_.BumpGeneration();
     ++write_track_faults_;
     clock_.AdvanceApp(config_.write_track_fault_ns / config_.num_threads);
     if (write_observer_ != nullptr) {

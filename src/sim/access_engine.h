@@ -2,8 +2,8 @@
 // application's memory accesses to the simulated machine.
 //
 // For each access it:
-//   1. translates through the page table (with a small software TLB for
-//      simulation speed — invalidated by page-table generation bumps);
+//   1. translates through the page table (no TLB is modeled: a lookup sees
+//      every map, unmap, split and remap at once);
 //   2. on a missing translation, invokes the fault handler (first-touch
 //      allocation, THP fault, etc.);
 //   3. sets the PTE accessed/dirty bits — the raw signal every PTE-scan
@@ -109,15 +109,6 @@ class AccessEngine {
   SimNanos PageFillCost(u32 socket, ComponentId component) const;
 
  private:
-  struct TlbEntry {
-    Vpn vpn = Vpn(~u64{0});
-    Pte* pte = nullptr;
-    u64 generation = ~u64{0};
-  };
-  static constexpr u64 kTlbSize = 256;  // direct-mapped software TLB
-
-  Pte* Translate(VirtAddr addr);
-
   const Machine& machine_;
   PageTable& page_table_;
   SimClock& clock_;
@@ -130,7 +121,6 @@ class AccessEngine {
   AccessTracker* tracker_ = nullptr;
   std::vector<HmcCache*> hmc_caches_;
 
-  std::vector<TlbEntry> tlb_;
   std::vector<HintFaultEvent> hint_fault_buffer_;
 
   u64 total_accesses_ = 0;

@@ -1,91 +1,77 @@
 #include "src/sim/page_table.h"
 
+#include <algorithm>
+
 namespace mtm {
 
-PageTable::PageTable() : root_(new Node()) { node_count_ = 1; }
+namespace {
 
-PageTable::~PageTable() { FreeNode(root_, kLevels - 1); }
-
-void PageTable::FreeNode(Node* node, int level) {
-  if (level > 0) {
-    for (u64 i = 0; i < kEntriesPerNode; ++i) {
-      if (node->slots[i] != nullptr) {
-        FreeNode(static_cast<Node*>(node->slots[i]), level - 1);
-      }
-    }
-  }
-  delete node;
+// First slot of `dirs` whose directory index is not below `index`.
+template <typename Dirs>
+auto LowerBound(Dirs& dirs, u64 index) {
+  return std::lower_bound(dirs.begin(), dirs.end(), index,
+                          [](const auto& dir, u64 i) { return dir->index < i; });
 }
 
-PageTable::Node* PageTable::EnsureChild(Node* node, u64 index) {
-  if (node->slots[index] == nullptr) {
-    node->slots[index] = new Node();
-    ++node_count_;
+}  // namespace
+
+PageTable::Directory* PageTable::FindDirectory(VirtAddr addr) {
+  const u64 index = addr.Shifted(kDirShift);
+  if (last_hit_ < dirs_.size() && dirs_[last_hit_]->index == index) {
+    return dirs_[last_hit_].get();
   }
-  return static_cast<Node*>(node->slots[index]);
+  auto it = LowerBound(dirs_, index);
+  if (it == dirs_.end() || (*it)->index != index) {
+    return nullptr;
+  }
+  last_hit_ = static_cast<std::size_t>(it - dirs_.begin());
+  return it->get();
 }
 
-PageTable::Node* PageTable::WalkTo(VirtAddr addr, int target_level, bool create) {
-  Node* node = root_;
-  for (int level = kLevels - 1; level > target_level; --level) {
-    u64 index = IndexAt(addr, level);
-    if (create) {
-      node = EnsureChild(node, index);
-    } else {
-      node = static_cast<Node*>(node->slots[index]);
-      if (node == nullptr) {
-        return nullptr;
-      }
-    }
+PageTable::Directory& PageTable::EnsureDirectory(VirtAddr addr) {
+  if (Directory* dir = FindDirectory(addr); dir != nullptr) {
+    return *dir;
   }
-  return node;
-}
-
-const PageTable::Node* PageTable::WalkToConst(VirtAddr addr, int target_level) const {
-  const Node* node = root_;
-  for (int level = kLevels - 1; level > target_level; --level) {
-    node = static_cast<const Node*>(node->slots[IndexAt(addr, level)]);
-    if (node == nullptr) {
-      return nullptr;
-    }
-  }
-  return node;
+  auto dir = std::make_unique<Directory>();
+  dir->index = addr.Shifted(kDirShift);
+  auto it = dirs_.insert(LowerBound(dirs_, dir->index), std::move(dir));
+  last_hit_ = static_cast<std::size_t>(it - dirs_.begin());
+  return **it;
 }
 
 Status PageTable::MapOne(VirtAddr addr, ComponentId component, bool huge) {
+  Chunk& chunk = EnsureDirectory(addr).chunks[ChunkIndex(addr)];
   if (huge) {
-    Node* node = WalkTo(addr, /*target_level=*/1, /*create=*/true);
-    Pte& pte = node->entries[IndexAt(addr, 1)];
-    if (pte.present()) {
+    if (chunk.huge.present()) {
       return AlreadyExistsError("huge page already mapped");
     }
-    if (Node* leaf = static_cast<Node*>(node->slots[IndexAt(addr, 1)]); leaf != nullptr) {
-      // A leaf table may linger after all its base pages were unmapped;
-      // only live entries block a huge mapping.
-      for (const Pte& entry : leaf->entries) {
+    if (chunk.leaf != nullptr) {
+      // A leaf may linger after all its base pages were unmapped; only live
+      // entries block a huge mapping.
+      for (const Pte& entry : chunk.leaf->entries) {
         if (entry.present()) {
           return AlreadyExistsError("base pages already mapped under huge range");
         }
       }
-      delete leaf;
-      node->slots[IndexAt(addr, 1)] = nullptr;
-      --node_count_;
+      chunk.leaf.reset();
+      --leaf_count_;
     }
-    pte = Pte{};
-    pte.Set(Pte::kPresent);
-    pte.Set(Pte::kHuge);
-    pte.component = component;
+    chunk.huge = Pte{};
+    chunk.huge.Set(Pte::kPresent);
+    chunk.huge.Set(Pte::kHuge);
+    chunk.huge.component = component;
     mapped_bytes_ += kHugePageBytes;
     ++mapped_huge_pages_;
     return OkStatus();
   }
-  Node* dir = WalkTo(addr, /*target_level=*/1, /*create=*/true);
-  Pte& dir_pte = dir->entries[IndexAt(addr, 1)];
-  if (dir_pte.present() && dir_pte.huge()) {
+  if (chunk.huge.present()) {
     return AlreadyExistsError("huge page already mapped at this address");
   }
-  Node* leaf = EnsureChild(dir, IndexAt(addr, 1));
-  Pte& pte = leaf->entries[IndexAt(addr, 0)];
+  if (chunk.leaf == nullptr) {
+    chunk.leaf = std::make_unique<Leaf>();
+    ++leaf_count_;
+  }
+  Pte& pte = chunk.leaf->entries[addr.Shifted(kPageShift) & (kPagesPerHugePage - 1)];
   if (pte.present()) {
     return AlreadyExistsError("page already mapped");
   }
@@ -108,7 +94,6 @@ Status PageTable::MapRange(VirtAddr start, Bytes len, ComponentId component, boo
   for (VirtAddr addr = start; addr < start + len; addr += page) {
     MTM_RETURN_IF_ERROR(MapOne(addr, component, huge));
   }
-  ++generation_;
   return OkStatus();
 }
 
@@ -139,52 +124,47 @@ Status PageTable::UnmapRange(VirtAddr start, Bytes len) {
     *pte = Pte{};
     addr = mapping_start + size;
   }
-  ++generation_;
   return OkStatus();
 }
 
 Status PageTable::SplitHuge(VirtAddr addr) {
-  Node* dir = WalkTo(addr, 1, /*create=*/false);
+  Directory* dir = FindDirectory(addr);
   if (dir == nullptr) {
     return NotFoundError("no mapping");
   }
-  u64 index = IndexAt(addr, 1);
-  Pte& dir_pte = dir->entries[index];
-  if (!dir_pte.present() || !dir_pte.huge()) {
+  Chunk& chunk = dir->chunks[ChunkIndex(addr)];
+  if (!chunk.huge.present()) {
     return FailedPreconditionError("not a huge mapping");
   }
-  Pte copy = dir_pte;
-  dir_pte = Pte{};
-  Node* leaf = EnsureChild(dir, index);
-  for (u64 i = 0; i < kPagesPerHugePage; ++i) {
-    Pte& pte = leaf->entries[i];
-    pte = copy;
-    pte.Clear(Pte::kHuge);
+  Pte copy = chunk.huge;
+  copy.Clear(Pte::kHuge);
+  chunk.huge = Pte{};
+  if (chunk.leaf == nullptr) {
+    chunk.leaf = std::make_unique<Leaf>();
+    ++leaf_count_;
   }
+  chunk.leaf->entries.fill(copy);
   --mapped_huge_pages_;
   mapped_base_pages_ += kPagesPerHugePage;
-  ++generation_;
   return OkStatus();
 }
 
 Pte* PageTable::Find(VirtAddr addr, Bytes* mapping_size) {
-  Node* dir = WalkTo(addr, 1, /*create=*/false);
+  Directory* dir = FindDirectory(addr);
   if (dir == nullptr) {
     return nullptr;
   }
-  u64 index = IndexAt(addr, 1);
-  Pte& dir_pte = dir->entries[index];
-  if (dir_pte.present()) {
+  Chunk& chunk = dir->chunks[ChunkIndex(addr)];
+  if (chunk.huge.present()) {
     if (mapping_size != nullptr) {
       *mapping_size = kHugePageBytes;
     }
-    return &dir_pte;
+    return &chunk.huge;
   }
-  Node* leaf = static_cast<Node*>(dir->slots[index]);
-  if (leaf == nullptr) {
+  if (chunk.leaf == nullptr) {
     return nullptr;
   }
-  Pte& pte = leaf->entries[IndexAt(addr, 0)];
+  Pte& pte = chunk.leaf->entries[addr.Shifted(kPageShift) & (kPagesPerHugePage - 1)];
   if (!pte.present()) {
     return nullptr;
   }
@@ -228,22 +208,37 @@ bool PageTable::ScanAccessed(VirtAddr addr, bool* accessed_out) {
 
 void PageTable::ForEachMapping(VirtAddr start, Bytes len,
                                const std::function<void(VirtAddr, Bytes, Pte&)>& fn) {
-  VirtAddr addr = PageAlignDown(start);
   const VirtAddr end = start + len;
-  while (addr < end) {
-    Bytes size;
-    Pte* pte = Find(addr, &size);
-    if (pte == nullptr) {
-      // Skip to the next base page; large sparse holes could be skipped at
-      // directory granularity, but profilers only scan mapped VMAs.
-      addr += kPageSize;
-      continue;
+  for (auto it = LowerBound(dirs_, start.Shifted(kDirShift)); it != dirs_.end(); ++it) {
+    Directory& dir = **it;
+    const VirtAddr dir_start(dir.index << kDirShift);
+    for (u64 c = dir_start < start ? ChunkIndex(start) : 0; c < kChunksPerDir; ++c) {
+      const VirtAddr chunk_start = dir_start + c * kHugePageSize;
+      if (chunk_start >= end) {
+        return;
+      }
+      Chunk& chunk = dir.chunks[c];
+      if (chunk.huge.present()) {
+        if (chunk_start >= start) {
+          fn(chunk_start, kHugePageBytes, chunk.huge);
+        }
+        continue;
+      }
+      if (chunk.leaf == nullptr) {
+        continue;
+      }
+      // The first base page starting at or after `start`.
+      u64 p = chunk_start < start ? (PageAlignUp(start) - chunk_start) >> kPageShift : 0;
+      for (; p < kPagesPerHugePage; ++p) {
+        const VirtAddr page_start = chunk_start + p * kPageSize;
+        if (page_start >= end) {
+          return;
+        }
+        if (Pte& pte = chunk.leaf->entries[p]; pte.present()) {
+          fn(page_start, kPageBytes, pte);
+        }
+      }
     }
-    VirtAddr mapping_start = addr.AlignDown(size.value());
-    if (mapping_start >= start) {
-      fn(mapping_start, size, *pte);
-    }
-    addr = mapping_start + size;
   }
 }
 
@@ -260,7 +255,6 @@ u64 PageTable::ArmWriteTracking(VirtAddr start, Bytes len) {
     pte.Set(Pte::kWriteTracked);
     ++armed;
   });
-  BumpGeneration();  // the one TLB flush the arming step pays (§7.2)
   return armed;
 }
 
@@ -270,7 +264,6 @@ u64 PageTable::DisarmWriteTracking(VirtAddr start, Bytes len) {
     pte.Clear(Pte::kWriteTracked);
     ++disarmed;
   });
-  BumpGeneration();
   return disarmed;
 }
 

@@ -1,4 +1,4 @@
-// Simulated five-level radix page table.
+// Simulated page table.
 //
 // This reproduces the part of the x86-64/Linux MMU that the paper's
 // profiling mechanisms depend on:
@@ -12,12 +12,18 @@
 //     so a huge page has exactly one accessed/dirty bit (§5.4);
 //   * the component (memory node) a page resides on, changed by migration.
 //
-// The radix has five levels of 9 bits each over a 57-bit virtual address
-// space, matching the "five-level page table" sizing discussion in §5.
+// Profiling and migration read only these bits, so the table is the
+// shallowest structure that holds them: a sorted vector of heap-owned 1 GiB
+// directories, each an array of 512 chunks of 2 MiB. A chunk holds either
+// one huge-page entry or a 512-entry leaf of base-page entries. Find indexes
+// at most twice after locating the directory, and ForEachMapping skips
+// absent directories and leaves whole.
 #pragma once
 
 #include <array>
 #include <functional>
+#include <memory>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -73,13 +79,7 @@ inline constexpr u64 MixPayload(u64 payload, VirtAddr addr) {
 
 class PageTable {
  public:
-  static constexpr int kLevels = 5;
-  static constexpr int kBitsPerLevel = 9;
-  static constexpr u64 kEntriesPerNode = 1ull << kBitsPerLevel;
-  static constexpr u64 kVaBits = kPageShift + kLevels * kBitsPerLevel;  // 57
-
-  PageTable();
-  ~PageTable();
+  PageTable() = default;
 
   PageTable(const PageTable&) = delete;
   PageTable& operator=(const PageTable&) = delete;
@@ -98,7 +98,9 @@ class PageTable {
   Status SplitHuge(VirtAddr addr);
 
   // Returns the leaf entry covering addr, or nullptr if not mapped.
-  // mapping_size (if non-null) receives 4 KiB or 2 MiB.
+  // mapping_size (if non-null) receives 4 KiB or 2 MiB. The entry stays
+  // valid until its own mapping is unmapped, split or replaced; mapping
+  // other ranges never moves it.
   Pte* Find(VirtAddr addr, Bytes* mapping_size = nullptr);
   const Pte* Find(VirtAddr addr, Bytes* mapping_size = nullptr) const;
 
@@ -117,17 +119,18 @@ class PageTable {
   bool ScanAccessed(VirtAddr addr, bool* accessed_out);
 
   // Write-tracking arm for move_memory_regions (§7.2): sets (clears) the
-  // reserved write-protect bit on every leaf mapping of [start, start+len)
-  // and bumps the generation once — the single TLB flush the paper charges.
-  // Returns the number of mappings touched. The next write to an armed page
-  // reports TouchResult::kWriteTrackFault from Touch() before the write's
-  // payload lands, which is what lets the migration engine fall back to a
-  // synchronous copy before the simulated contents change.
+  // reserved write-protect bit on every leaf mapping of [start, start+len).
+  // Returns the number of mappings touched. The single TLB flush the paper
+  // charges for arming is CostModel::tlb_flush_ns. The next write to an
+  // armed page reports TouchResult::kWriteTrackFault from Touch() before
+  // the write's payload lands, which is what lets the migration engine fall
+  // back to a synchronous copy before the simulated contents change.
   u64 ArmWriteTracking(VirtAddr start, Bytes len);
   u64 DisarmWriteTracking(VirtAddr start, Bytes len);
 
   // Visits every leaf mapping whose start lies in [start, start+len), in
-  // address order. fn(addr, mapping_size, pte).
+  // address order. fn(addr, mapping_size, pte). fn may change entries but
+  // not map, unmap or split.
   void ForEachMapping(VirtAddr start, Bytes len,
                       const std::function<void(VirtAddr, Bytes, Pte&)>& fn);
   void ForEachMapping(VirtAddr start, Bytes len,
@@ -138,42 +141,46 @@ class PageTable {
   u64 mapped_huge_pages() const { return mapped_huge_pages_; }
 
   // Number of 4 KiB pages occupied by the table itself (the "page table
-  // pages" migrated by move_memory_regions in Figure 2/3).
-  u64 page_table_pages() const { return node_count_; }
-
-  // Bumped whenever any translation changes (map/unmap/split/remap). Caches
-  // such as the access engine's software TLB key off this.
-  u64 generation() const { return generation_; }
-  void BumpGeneration() { ++generation_; }
+  // pages" migrated by move_memory_regions in Figure 2/3): one per
+  // directory and one per leaf.
+  u64 page_table_pages() const { return dirs_.size() + leaf_count_; }
 
  private:
-  struct Node {
-    std::array<void*, kEntriesPerNode> slots;  // child Node* or nullptr
-    std::array<Pte, kEntriesPerNode> entries;  // leaf PTEs at levels 0/1
-    Node() { slots.fill(nullptr); }
+  static constexpr u64 kDirShift = kHugePageShift + 9;  // one directory maps 1 GiB
+  static constexpr u64 kChunksPerDir = u64{1} << (kDirShift - kHugePageShift);
+
+  struct Leaf {
+    std::array<Pte, kPagesPerHugePage> entries;
+  };
+  // One 2 MiB chunk: a present `huge` entry, or base pages in `leaf`. A
+  // leaf may linger empty after its base pages are unmapped.
+  struct Chunk {
+    Pte huge;
+    std::unique_ptr<Leaf> leaf;
+  };
+  struct Directory {
+    u64 index = 0;  // addr >> kDirShift
+    std::array<Chunk, kChunksPerDir> chunks;
   };
 
-  static u64 IndexAt(VirtAddr addr, int level) {
-    return addr.Shifted(kPageShift + static_cast<u64>(level) * kBitsPerLevel) &
-           (kEntriesPerNode - 1);
+  static u64 ChunkIndex(VirtAddr addr) {
+    return addr.Shifted(kHugePageShift) & (kChunksPerDir - 1);
   }
 
-  Node* EnsureChild(Node* node, u64 index);
-  void FreeNode(Node* node, int level);
-
-  // Walks to the node at `target_level` for addr, optionally creating
-  // intermediate nodes.
-  Node* WalkTo(VirtAddr addr, int target_level, bool create);
-  const Node* WalkToConst(VirtAddr addr, int target_level) const;
+  // The directory for addr: nullptr if absent (FindDirectory), or created
+  // on demand (EnsureDirectory).
+  Directory* FindDirectory(VirtAddr addr);
+  Directory& EnsureDirectory(VirtAddr addr);
 
   Status MapOne(VirtAddr addr, ComponentId component, bool huge);
 
-  Node* root_;
+  // Sorted by index; heap-owned so inserting a directory moves no entry.
+  std::vector<std::unique_ptr<Directory>> dirs_;
+  std::size_t last_hit_ = 0;  // dirs_ slot of the last directory found
   Bytes mapped_bytes_;
   u64 mapped_base_pages_ = 0;
   u64 mapped_huge_pages_ = 0;
-  u64 node_count_ = 0;
-  u64 generation_ = 0;
+  u64 leaf_count_ = 0;
 };
 
 }  // namespace mtm

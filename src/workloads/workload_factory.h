@@ -21,9 +21,11 @@ inline constexpr Bytes kSparkFootprint = GiB(350);
 // Adversarial admission-control microbenchmark, not part of Table 2.
 inline constexpr Bytes kPingPongFootprint = GiB(400);
 
-// names: gups, voltdb, cassandra, bfs, sssp, spark, pingpong
+// names: gups, voltdb, cassandra, bfs, sssp, spark, pingpong. An unknown
+// name is a CHECK failure; test it first with IsKnownWorkload.
 std::unique_ptr<Workload> MakeWorkload(const std::string& name, u64 sim_scale,
                                        u32 num_threads, u64 seed);
+bool IsKnownWorkload(const std::string& name);
 
 // The Table 2 set iterated by the paper's figures; excludes pingpong.
 std::vector<std::string> AllWorkloadNames();

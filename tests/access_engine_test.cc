@@ -159,7 +159,6 @@ TEST_F(AccessEngineTest, HintFaultRecordsSocketAndCost) {
   BuildVma(MiB(2), false);
   engine_.Apply(base(), false, 0);  // map it
   page_table_.Find(base())->Set(Pte::kHintArmed);
-  page_table_.BumpGeneration();
   SimNanos before = clock_.app_ns();
   engine_.Apply(base(), false, /*socket=*/1);
   EXPECT_EQ(engine_.hint_faults(), 1u);
@@ -188,7 +187,6 @@ TEST_F(AccessEngineTest, WriteTrackFaultFiresOnceAndOnlyOnWrite) {
   BuildVma(MiB(2), false);
   engine_.Apply(base(), false, 0);
   page_table_.Find(base())->Set(Pte::kWriteTracked);
-  page_table_.BumpGeneration();
   RecordingObserver observer;
   engine_.set_write_track_observer(&observer);
   engine_.Apply(base(), /*is_write=*/false, 0);  // reads don't trip it
@@ -201,17 +199,39 @@ TEST_F(AccessEngineTest, WriteTrackFaultFiresOnceAndOnlyOnWrite) {
 }
 
 TEST_F(AccessEngineTest, TlbInvalidatedOnRemap) {
-  // After migration changes a PTE, cached translations must not serve the
-  // stale component.
-  BuildVma(MiB(2), false);
+  // The name predates the removal of the engine's software TLB and the
+  // page-table generation that invalidated it. What stays to test: Apply
+  // translates through the live table, so a map, an unmap, a huge-page
+  // split and a component change show on the next access with no
+  // invalidation call.
+  BuildVma(MiB(4), false);
+  ASSERT_TRUE(IsHugeAligned(base()));
+  const ComponentId local = machine_.TierOrder(0)[0];
+  const ComponentId other = machine_.TierOrder(0)[2];
+  const ComponentId third = machine_.TierOrder(0)[3];
   engine_.Apply(base(), false, 0);
   Pte* pte = page_table_.Find(base());
-  ComponentId before = pte->component;
-  ComponentId other = machine_.TierOrder(0)[2];
-  ASSERT_NE(before, other);
+  ASSERT_EQ(pte->component, local);
   pte->component = other;
-  page_table_.BumpGeneration();
   EXPECT_EQ(engine_.Apply(base(), false, 0), other);
+
+  // Unmap: the next access faults and first-touch maps the page again.
+  ASSERT_TRUE(page_table_.UnmapRange(base(), kPageBytes).ok());
+  EXPECT_EQ(engine_.Apply(base(), false, 0), local);
+  EXPECT_EQ(engine_.page_faults(), 2u);
+
+  // Map: a page mapped behind the engine's back is used without a fault.
+  const VirtAddr huge = base() + kHugePageSize;
+  ASSERT_TRUE(page_table_.MapRange(huge, kHugePageBytes, other, /*huge=*/true).ok());
+  EXPECT_EQ(engine_.Apply(huge + 5 * kPageSize, false, 0), other);
+  EXPECT_EQ(engine_.page_faults(), 2u);
+
+  // Split, then remap one of the new base pages.
+  ASSERT_TRUE(page_table_.SplitHuge(huge).ok());
+  page_table_.Find(huge + 5 * kPageSize)->component = third;
+  EXPECT_EQ(engine_.Apply(huge + 5 * kPageSize, false, 0), third);
+  EXPECT_EQ(engine_.Apply(huge + 6 * kPageSize, false, 0), other);
+  EXPECT_EQ(engine_.page_faults(), 2u);
 }
 
 TEST_F(AccessEngineTest, HmcModeChargesCacheCosts) {

@@ -32,8 +32,12 @@ TEST(SolutionTest, NamesRoundTrip) {
         SolutionKind::kTieredAutoNuma, SolutionKind::kAutoTiering, SolutionKind::kHemem,
         SolutionKind::kMtm, SolutionKind::kThermostatProfilerMtmMigration,
         SolutionKind::kAutoNumaProfilerMtmMigration}) {
-    EXPECT_EQ(SolutionKindFromName(SolutionKindName(kind)), kind);
+    SolutionKind parsed = SolutionKind::kFirstTouch;
+    ASSERT_TRUE(SolutionKindFromName(SolutionKindName(kind), &parsed));
+    EXPECT_EQ(parsed, kind);
   }
+  SolutionKind unknown = SolutionKind::kMtm;
+  EXPECT_FALSE(SolutionKindFromName("bogus", &unknown));
   EXPECT_EQ(Figure4Solutions().size(), 6u);
 }
 

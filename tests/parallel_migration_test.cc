@@ -18,8 +18,6 @@
 // they compared thread counts; the names are kept so test ids stay stable.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,57 +35,17 @@
 #include "src/migration/async_copy.h"
 #include "src/migration/mechanism.h"
 #include "src/migration/migration_engine.h"
-#include "src/obs/obs.h"
 #include "src/sim/access_engine.h"
 #include "src/sim/clock.h"
 #include "src/sim/counters.h"
 #include "src/sim/machine.h"
 #include "src/sim/page_table.h"
+#include "tests/gups_smoke.h"
 
 namespace mtm {
 namespace {
 
 // ------------------------------------------------------- golden harness --
-
-struct RunArtifacts {
-  std::string metrics_jsonl;
-  std::string trace_json;
-  std::string report_json;
-  MigrationStats migration;
-};
-
-// Mirrors the CI observability smoke invocation of mtmsim:
-//   mtmsim --workload=gups --solution=mtm --intervals=12 --accesses=3000000
-RunArtifacts RunGupsSmoke(const std::string& fault_spec = "") {
-  ExperimentConfig config;
-  config.num_intervals = 12;
-  config.target_accesses = 3'000'000;
-  config.fault_spec = fault_spec;
-  Observability obs;
-  RunOptions options;
-  options.obs = &obs;
-  RunResult result = RunExperiment("gups", SolutionKind::kMtm, config, options);
-
-  RunArtifacts artifacts;
-  std::ostringstream metrics;
-  obs.timeline.WriteJsonl(metrics, obs.metrics);
-  artifacts.metrics_jsonl = metrics.str();
-  std::ostringstream trace;
-  obs.trace.WriteChromeTrace(trace);
-  artifacts.trace_json = trace.str();
-  // mtmsim prints the report with a trailing newline; the goldens carry it.
-  artifacts.report_json = Render(result, ReportFormat::kJson) + "\n";
-  artifacts.migration = result.migration_stats;
-  return artifacts;
-}
-
-std::string ReadGolden(const std::string& name) {
-  std::ifstream in(std::string(MTM_TESTS_GOLDEN_DIR) + "/" + name, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file: " << name;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 void ExpectSameCopyStats(const MigrationStats& a, const MigrationStats& b,
                          const std::string& label) {

@@ -1,27 +1,18 @@
-// Determinism tests for the PTE-scan path: a seeded gups run must
-// reproduce the metrics JSONL, Chrome trace, and report JSON checked into
-// tests/golden/ byte for byte, a second run in the same process must
-// reproduce the first, and two profilers fed the same touches must reach
-// bitwise-equal region state.
+// Determinism tests for the PTE-scan path: a second seeded gups run in the
+// same process must reproduce the first byte for byte, and two profilers fed
+// the same touches must reach bitwise-equal region state. The gups run's
+// golden match is ParallelMigrationTest.SerialRunMatchesPreAsyncGoldens.
 //
 // Two test names predate the removal of the sharded scan, when they
 // compared scan-thread counts; the names are kept so test ids stay stable.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <memory>
-#include <sstream>
-#include <string>
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
-#include "src/core/driver.h"
-#include "src/core/experiment.h"
-#include "src/core/report.h"
-#include "src/core/solution.h"
 #include "src/mem/address_space.h"
-#include "src/obs/obs.h"
 #include "src/profiling/mtm_profiler.h"
 #include "src/profiling/region.h"
 #include "src/sim/access_engine.h"
@@ -30,46 +21,10 @@
 #include "src/sim/machine.h"
 #include "src/sim/page_table.h"
 #include "src/sim/pebs.h"
+#include "tests/gups_smoke.h"
 
 namespace mtm {
 namespace {
-
-struct RunArtifacts {
-  std::string metrics_jsonl;
-  std::string trace_json;
-  std::string report_json;
-};
-
-// Mirrors the CI observability smoke invocation of mtmsim:
-//   mtmsim --workload=gups --solution=mtm --intervals=12 --accesses=3000000
-RunArtifacts RunGupsSmoke() {
-  ExperimentConfig config;
-  config.num_intervals = 12;
-  config.target_accesses = 3'000'000;
-  Observability obs;
-  RunOptions options;
-  options.obs = &obs;
-  RunResult result = RunExperiment("gups", SolutionKind::kMtm, config, options);
-
-  RunArtifacts artifacts;
-  std::ostringstream metrics;
-  obs.timeline.WriteJsonl(metrics, obs.metrics);
-  artifacts.metrics_jsonl = metrics.str();
-  std::ostringstream trace;
-  obs.trace.WriteChromeTrace(trace);
-  artifacts.trace_json = trace.str();
-  // mtmsim prints the report with a trailing newline; the goldens carry it.
-  artifacts.report_json = Render(result, ReportFormat::kJson) + "\n";
-  return artifacts;
-}
-
-std::string ReadGolden(const std::string& name) {
-  std::ifstream in(std::string(MTM_TESTS_GOLDEN_DIR) + "/" + name, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file: " << name;
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
 
 TEST(ParallelScanTest, ScanThreadsProduceByteIdenticalArtifacts) {
   // A second run in the same process must not see anything the first left
@@ -79,15 +34,6 @@ TEST(ParallelScanTest, ScanThreadsProduceByteIdenticalArtifacts) {
   EXPECT_EQ(first.metrics_jsonl, second.metrics_jsonl);
   EXPECT_EQ(first.trace_json, second.trace_json);
   EXPECT_EQ(first.report_json, second.report_json);
-}
-
-TEST(ParallelScanTest, MatchesPreParallelSerialGolden) {
-  // The run must reproduce the golden bytes captured from the build that
-  // predates the sharded scan engine.
-  RunArtifacts artifacts = RunGupsSmoke();
-  EXPECT_EQ(artifacts.metrics_jsonl, ReadGolden("scan_gups_metrics.jsonl"));
-  EXPECT_EQ(artifacts.trace_json, ReadGolden("scan_gups_trace.json"));
-  EXPECT_EQ(artifacts.report_json, ReadGolden("scan_gups_report.json"));
 }
 
 // Profiler-level replay: two MtmProfiler instances over identically

@@ -390,7 +390,10 @@ TEST(WorkloadFactoryTest, PingPongRegistered) {
 }
 
 TEST(WorkloadFactoryTest, AllNamesBuild) {
+  EXPECT_TRUE(IsKnownWorkload("pingpong"));
+  EXPECT_FALSE(IsKnownWorkload("bogus"));
   for (const std::string& name : AllWorkloadNames()) {
+    EXPECT_TRUE(IsKnownWorkload(name)) << name;
     auto w = MakeWorkload(name, /*sim_scale=*/4096, 8, 1);
     ASSERT_NE(w, nullptr) << name;
     EXPECT_EQ(w->name(), name);

@@ -50,11 +50,9 @@ import sys
 from pathlib import Path
 
 # (file, substring) pairs exempt from the naked-new check, with reasons:
-#   page_table.cc — radix-tree nodes are arena-owned and freed in ~Node.
-#   trace.cc      — ctor is private, make_unique cannot reach it; the raw
-#                   pointer is wrapped in a unique_ptr on the same line.
+#   trace.cc — ctor is private, make_unique cannot reach it; the raw
+#              pointer is wrapped in a unique_ptr on the same line.
 ALLOW_NAKED_NEW = {
-    ("src/sim/page_table.cc", "new Node()"),
     ("src/workloads/trace.cc", "new TraceReplayWorkload("),
 }
 

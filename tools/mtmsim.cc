@@ -51,9 +51,10 @@
 //   --trace-flows       add async-flow arrows linking migrate_arm to
 //                       the matching finish span (needs --trace-out) [false]
 //
-// An unknown flag, a malformed number (--alpha=abc, --seed=-1) or an unknown
-// --format is an error: mtmsim prints it and exits with status 2 before
-// running anything.
+// Every argv error exits with status 2 before anything runs, after mtmsim
+// prints it: an unknown flag, a malformed number (--alpha=abc, --seed=-1),
+// or an unknown --workload, --solution, --admission, --policy or --format
+// name, or an unparsable --fault_spec.
 #include <cstdio>
 #include <string>
 
@@ -70,6 +71,7 @@
 #include "src/migration/mechanism.h"
 #include "src/migration/policy_registry.h"
 #include "src/obs/obs.h"
+#include "src/workloads/workload_factory.h"
 
 int main(int argc, char** argv) {
   mtm::FlagSet flags(argc, argv);
@@ -97,7 +99,7 @@ int main(int argc, char** argv) {
   if (!mtm::AdmissionKindFromName(admission_name, &config.mtm.admission)) {
     std::fprintf(stderr, "bad --admission: %s (want vanilla|ppt|bandwidth)\n",
                  admission_name.c_str());
-    return 1;
+    return 2;
   }
   config.mtm.admission_budget_bytes = mtm::MiB(flags.GetU64("admission-budget-mb", 0));
   config.policy_override = flags.GetString("policy", "");
@@ -108,7 +110,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "bad --policy: %s (want %s)\n", config.policy_override.c_str(),
                  known.c_str());
-    return 1;
+    return 2;
   }
   config.fault_spec = flags.GetString("fault_spec", flags.GetString("fault-spec", ""));
   if (!config.fault_spec.empty()) {
@@ -117,12 +119,21 @@ int main(int argc, char** argv) {
         mtm::FaultInjector::Parse(config.fault_spec, config.seed);
     if (!parsed.ok()) {
       std::fprintf(stderr, "bad --fault_spec: %s\n", parsed.status().ToString().c_str());
-      return 1;
+      return 2;
     }
   }
 
   std::string workload = flags.GetString("workload", "gups");
-  std::string solution = flags.GetString("solution", "mtm");
+  if (!mtm::IsKnownWorkload(workload)) {
+    std::fprintf(stderr, "bad --workload: %s (see --help)\n", workload.c_str());
+    return 2;
+  }
+  std::string solution_name = flags.GetString("solution", "mtm");
+  mtm::SolutionKind solution = mtm::SolutionKind::kMtm;
+  if (!mtm::SolutionKindFromName(solution_name, &solution)) {
+    std::fprintf(stderr, "bad --solution: %s (see --help)\n", solution_name.c_str());
+    return 2;
+  }
   std::string format_name = flags.GetString("format", "human");
   mtm::ReportFormat format = mtm::ReportFormat::kHuman;
   if (format_name == "csv") {
@@ -162,8 +173,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  mtm::RunResult result = mtm::RunExperiment(
-      workload, mtm::SolutionKindFromName(solution), config, options);
+  mtm::RunResult result = mtm::RunExperiment(workload, solution, config, options);
 
   if (options.obs != nullptr) {
     mtm::Status status = mtm::WriteObservabilityFiles(obs, metrics_out, trace_out);
