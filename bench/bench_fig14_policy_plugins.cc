@@ -4,15 +4,13 @@
 // baseline solutions for reference:
 //
 //  * mtm (full)       the default heuristic (WHI histogram policy);
-//  * mtm-feature      the same heuristic expressed as a FeaturePolicy
-//                     (the plugin path; must match mtm exactly);
 //  * logistic         the fitted logistic scorer over the full feature
 //                     vector (tools/fit_logistic_policy.py);
 //  * autonuma/autotiering swapped into the MTM stack via the registry;
 //  * tiered-autonuma / autotiering as whole solutions (Figure 4 baselines).
 //
-// Expected shape: mtm and mtm-feature are identical; logistic lands close
-// to the heuristic and ahead of the swapped-in and standalone baselines.
+// Expected shape: logistic lands close to the heuristic and ahead of the
+// swapped-in and standalone baselines.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -52,7 +50,6 @@ int main() {
   };
 
   run("mtm (full)", SolutionKind::kMtm, "");
-  run("mtm-feature (plugin path)", SolutionKind::kMtm, "mtm-feature");
   run("logistic (fitted)", SolutionKind::kMtm, "logistic");
   run("autonuma policy in mtm stack", SolutionKind::kMtm, "autonuma");
   run("autotiering policy in mtm stack", SolutionKind::kMtm, "autotiering");

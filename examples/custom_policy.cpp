@@ -42,8 +42,6 @@ class ThresholdPolicy : public TieringPolicy {
  public:
   ThresholdPolicy(double threshold, Bytes budget) : threshold_(threshold), budget_(budget) {}
 
-  std::string name() const override { return "threshold-policy"; }
-
   std::vector<MigrationOrder> Decide(const ProfileOutput& profile,
                                      PolicyContext& ctx) override {
     std::vector<MigrationOrder> orders;
@@ -87,7 +85,6 @@ class ThresholdPolicy : public TieringPolicy {
 class TrendPolicy : public FeaturePolicy {
  public:
   using FeaturePolicy::FeaturePolicy;
-  std::string name() const override { return "trend-policy"; }
   double Score(const FeatureVector& f) const override {
     // Favor regions that are hot *and* heating; a cooling region has to be
     // much hotter to outrank a heating one.
@@ -116,11 +113,9 @@ int main() {
   RegisterPolicy("threshold", [batch](const PolicyParams&) -> std::unique_ptr<TieringPolicy> {
     return std::make_unique<ThresholdPolicy>(/*threshold=*/1.5, batch);
   });
-  RegisterPolicy("trend", [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
-    MtmPolicy::Config decide;
-    decide.promote_batch_bytes = params.promote_batch_bytes;
-    decide.hotness_max = -1.0;  // adaptive: trend scores leave the WHI scale
-    return std::make_unique<FeatureDrivenPolicy>(std::make_unique<TrendPolicy>(decide));
+  RegisterPolicy("trend", [](PolicyParams params) -> std::unique_ptr<TieringPolicy> {
+    params.hotness_max = -1.0;  // adaptive: trend scores leave the WHI scale
+    return std::make_unique<TrendPolicy>(params);
   });
 
   std::printf("Custom-policy example: registry plugins vs MTM's histogram policy\n\n");
@@ -132,7 +127,7 @@ int main() {
   std::printf("trend-policy     : %.3fs\n", trend_s);
 
   double mtm_s = RunWithPolicy("", config);
-  std::printf("mtm-policy       : %.3fs\n", mtm_s);
+  std::printf("mtm              : %.3fs\n", mtm_s);
 
   std::printf("\nThe histogram machinery ranks *all* regions globally and demotes the\n"
               "coldest to make room — the FeaturePolicy plugin inherits that, so the\n"

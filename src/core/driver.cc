@@ -29,7 +29,7 @@ RunResult RunSimulation(Workload& workload, Solution& solution,
   result.workload = workload.name();
   result.footprint_bytes = workload.params().footprint_bytes;
   if (solution.policy() != nullptr) {
-    result.policy = solution.policy()->name();
+    result.policy = solution.policy_name();
     result.policy_overridden = solution.policy_overridden();
   }
 
@@ -340,7 +340,7 @@ RunResult RunSimulation(Workload& workload, Solution& solution,
     result.migration_stats = solution.migration()->stats();
     result.admission_stats = solution.migration()->admission_stats();
     if (solution.migration()->admission() != nullptr) {
-      result.admission = solution.migration()->admission()->name();
+      result.admission = AdmissionKindName(solution.migration()->admission()->kind());
       result.admission_active = admission_active;
     }
   }
@@ -387,10 +387,8 @@ RunResult RunExperiment(const std::string& workload_name, SolutionKind kind,
   std::unique_ptr<Workload> workload =
       MakeWorkload(workload_name, config.sim_scale, config.num_threads, config.seed);
   Solution solution(kind, config, *workload);
-  if (solution.profiler() == nullptr && kind != SolutionKind::kFirstTouch &&
-      kind != SolutionKind::kHmc) {
-    MTM_CHECK(false) << "solution missing profiler";
-  }
+  MTM_CHECK(solution.profiler() != nullptr || SolutionInfoOf(kind).default_policy == nullptr)
+      << "solution missing profiler";
   return RunSimulation(*workload, solution, config, options);
 }
 

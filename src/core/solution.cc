@@ -1,5 +1,7 @@
 #include "src/core/solution.h"
 
+#include <array>
+
 #include "src/common/logging.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -16,38 +18,48 @@
 
 namespace mtm {
 
-const char* SolutionKindName(SolutionKind kind) {
-  switch (kind) {
-    case SolutionKind::kFirstTouch:
-      return "first-touch";
-    case SolutionKind::kHmc:
-      return "hmc";
-    case SolutionKind::kVanillaTieredAutoNuma:
-      return "vanilla-tiered-autonuma";
-    case SolutionKind::kTieredAutoNuma:
-      return "tiered-autonuma";
-    case SolutionKind::kAutoTiering:
-      return "autotiering";
-    case SolutionKind::kHemem:
-      return "hemem";
-    case SolutionKind::kMtm:
-      return "mtm";
-    case SolutionKind::kThermostatProfilerMtmMigration:
-      return "thermostat+mtm-migration";
-    case SolutionKind::kAutoNumaProfilerMtmMigration:
-      return "autonuma+mtm-migration";
+namespace {
+
+using enum SolutionKind;
+
+constexpr std::array<SolutionInfo, 9> kSolutions = {{
+    // kind, name, default policy, mtm stack, figure 4[, placement, mechanism]
+    {kFirstTouch, "first-touch", nullptr, false, true},
+    {kHmc, "hmc", nullptr, false, true, PlacementPolicy::kPmOnly},
+    {kVanillaTieredAutoNuma, "vanilla-tiered-autonuma", "vanilla-autonuma", false, true},
+    {kTieredAutoNuma, "tiered-autonuma", "autonuma", false, true},
+    {kAutoTiering, "autotiering", "autotiering", false, true},
+    // HeMem migrates asynchronously in userspace.
+    {kHemem, "hemem", "hemem", false, false, PlacementPolicy::kFirstTouch, MechanismKind::kNimble},
+    {kMtm, "mtm", "mtm", true, true},
+    {kThermostatProfilerMtmMigration, "thermostat+mtm-migration", "mtm", true, false},
+    {kAutoNumaProfilerMtmMigration, "autonuma+mtm-migration", "mtm", true, false},
+}};
+
+constexpr bool RowsInKindOrder() {
+  for (std::size_t i = 0; i < kSolutions.size(); ++i) {
+    if (static_cast<std::size_t>(kSolutions[i].kind) != i) {
+      return false;
+    }
   }
-  return "?";
+  return true;
+}
+static_assert(RowsInKindOrder(), "kSolutions must list every SolutionKind in enum order");
+
+}  // namespace
+
+std::span<const SolutionInfo> AllSolutions() { return kSolutions; }
+
+const SolutionInfo& SolutionInfoOf(SolutionKind kind) {
+  return kSolutions[static_cast<std::size_t>(kind)];
 }
 
+const char* SolutionKindName(SolutionKind kind) { return SolutionInfoOf(kind).name; }
+
 bool SolutionKindFromName(const std::string& name, SolutionKind* out) {
-  for (SolutionKind k :
-       {SolutionKind::kFirstTouch, SolutionKind::kHmc, SolutionKind::kVanillaTieredAutoNuma,
-        SolutionKind::kTieredAutoNuma, SolutionKind::kAutoTiering, SolutionKind::kHemem,
-        SolutionKind::kMtm, SolutionKind::kThermostatProfilerMtmMigration,
-        SolutionKind::kAutoNumaProfilerMtmMigration}) {
-    if (name == SolutionKindName(k)) {
-      *out = k;
+  for (const SolutionInfo& row : kSolutions) {
+    if (name == row.name) {
+      *out = row.kind;
       return true;
     }
   }
@@ -55,9 +67,13 @@ bool SolutionKindFromName(const std::string& name, SolutionKind* out) {
 }
 
 std::vector<SolutionKind> Figure4Solutions() {
-  return {SolutionKind::kFirstTouch,      SolutionKind::kHmc,
-          SolutionKind::kVanillaTieredAutoNuma, SolutionKind::kTieredAutoNuma,
-          SolutionKind::kAutoTiering,     SolutionKind::kMtm};
+  std::vector<SolutionKind> kinds;
+  for (const SolutionInfo& row : kSolutions) {
+    if (row.figure4) {
+      kinds.push_back(row.kind);
+    }
+  }
+  return kinds;
 }
 
 Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& workload)
@@ -90,26 +106,9 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
                                            engine_config);
   engine_->set_pebs(pebs_.get());
 
-  // Placement policy per solution.
-  PlacementPolicy placement = PlacementPolicy::kFirstTouch;
-  if (kind == SolutionKind::kMtm || kind == SolutionKind::kThermostatProfilerMtmMigration ||
-      kind == SolutionKind::kAutoNumaProfilerMtmMigration) {
-    placement = config.mtm.placement;
-  } else if (kind == SolutionKind::kHmc) {
-    placement = PlacementPolicy::kPmOnly;
-  }
-
-  // Lay out the workload. Only Thermostat reads per-page access counts, so
-  // only it pays for counting them: every other solution leaves the tracker
-  // empty and unwired, and its per-interval reset loops over no ranges.
+  const SolutionInfo& row = SolutionInfoOf(kind);
+  const PlacementPolicy placement = row.mtm_stack ? config.mtm.placement : row.placement;
   workload.Build(address_space_);
-  if (kind == SolutionKind::kThermostatProfilerMtmMigration) {
-    for (const Vma& vma : address_space_.vmas()) {
-      tracker_.Register(vma.start, vma.len);
-    }
-    engine_->set_tracker(&tracker_);
-  }
-
   fault_handler_ = std::make_unique<PlacementFaultHandler>(*machine_, page_table_, *frames_,
                                                            address_space_, placement);
   engine_->set_fault_handler(fault_handler_.get());
@@ -131,14 +130,19 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
       caches.push_back(hmc_caches_.back().get());
     }
     engine_->set_hmc_caches(std::move(caches));
-    return;  // no profiler / policy / migration
   }
-  if (kind == SolutionKind::kFirstTouch) {
-    return;  // allocation-only baseline
+  if (row.default_policy == nullptr) {
+    return;  // no profiler / policy / migration
   }
 
   const SimNanos interval = config.IntervalNs();
   const Bytes batch = config.PromoteBatchBytes();
+  // The params stay those of the solution kind, so a --policy override
+  // inherits the experiment's batch size and score range. The score range
+  // adapts to the profiler's scale each interval unless the profiler fixes
+  // it below.
+  PolicyParams params;
+  params.promote_batch_bytes = batch;
 
   // Profiler.
   switch (kind) {
@@ -157,16 +161,18 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
       pc.seed = config.seed ^ 0x5151;
       profiler_ = std::make_unique<MtmProfiler>(*machine_, page_table_, address_space_,
                                                 *engine_, pebs_.get(), pc);
+      params.hotness_max = static_cast<double>(config.mtm.num_scans);  // WHI range
       break;
     }
     case SolutionKind::kVanillaTieredAutoNuma:
-    case SolutionKind::kTieredAutoNuma: {
+    case SolutionKind::kTieredAutoNuma:
+    case SolutionKind::kAutoNumaProfilerMtmMigration: {
       AutoNumaProfiler::Config pc;
       // NUMA balancing covers the address space over tens of scan periods;
       // model one full sweep per ~64 intervals at minimum.
       pc.scan_window_bytes =
           std::max(config.ScanWindowBytes(), address_space_.total_bytes() / 64);
-      pc.patched = kind == SolutionKind::kTieredAutoNuma;
+      pc.patched = kind != SolutionKind::kVanillaTieredAutoNuma;
       // Kernel two-touch counters persist; the patched MFU path weights
       // recent faults.
       pc.decay = pc.patched ? 0.7 : 1.0;
@@ -186,20 +192,18 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
       break;
     }
     case SolutionKind::kThermostatProfilerMtmMigration: {
+      // Only Thermostat reads per-page access counts, so only it pays for
+      // counting them: every other solution leaves the tracker empty and
+      // unwired, and its per-interval reset loops over no ranges.
+      for (const Vma& vma : address_space_.vmas()) {
+        tracker_.Register(vma.start, vma.len);
+      }
+      engine_->set_tracker(&tracker_);
       ThermostatProfiler::Config pc;
       pc.interval_ns = interval;
       pc.overhead_fraction = config.mtm.overhead_fraction;
       pc.seed = config.seed ^ 0x7777;
       profiler_ = std::make_unique<ThermostatProfiler>(address_space_, tracker_, pc);
-      break;
-    }
-    case SolutionKind::kAutoNumaProfilerMtmMigration: {
-      AutoNumaProfiler::Config pc;
-      pc.scan_window_bytes =
-          std::max(config.ScanWindowBytes(), address_space_.total_bytes() / 64);
-      pc.patched = true;
-      pc.decay = 0.7;
-      profiler_ = std::make_unique<AutoNumaProfiler>(page_table_, address_space_, *engine_, pc);
       break;
     }
     default:
@@ -209,64 +213,17 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
     profiler_->Initialize();
   }
 
-  // Policy: every solution's default policy resolves by name through the
-  // registry, and config.policy_override swaps in any registered plugin
-  // (the knob behind --policy=<name>). The params stay those of the
-  // solution kind, so an override inherits the experiment's batch size and
-  // score range — --policy=mtm-feature on the mtm solution is byte-identical
-  // to the hand-wired default.
-  std::string policy_name;
-  PolicyParams params;
-  params.promote_batch_bytes = batch;
-  switch (kind) {
-    case SolutionKind::kMtm:
-      policy_name = "mtm";
-      params.hotness_max = static_cast<double>(config.mtm.num_scans);
-      break;
-    case SolutionKind::kThermostatProfilerMtmMigration:
-    case SolutionKind::kAutoNumaProfilerMtmMigration:
-      policy_name = "mtm";
-      params.hotness_max = -1.0;  // adapt to the foreign profiler's scale
-      break;
-    case SolutionKind::kVanillaTieredAutoNuma:
-      policy_name = "vanilla-autonuma";
-      break;
-    case SolutionKind::kTieredAutoNuma:
-      policy_name = "autonuma";
-      break;
-    case SolutionKind::kAutoTiering:
-      policy_name = "autotiering";
-      break;
-    case SolutionKind::kHemem:
-      policy_name = "hemem";
-      break;
-    default:
-      break;
+  // Policy: the default resolves by name through the registry, and
+  // config.policy_override swaps in any registered policy (--policy=<name>).
+  policy_name_ = row.default_policy;
+  if (!config.policy_override.empty()) {
+    policy_overridden_ = config.policy_override != policy_name_;
+    policy_name_ = config.policy_override;
   }
-  if (!policy_name.empty() && !config.policy_override.empty()) {
-    policy_overridden_ = config.policy_override != policy_name;
-    policy_name = config.policy_override;
-  }
-  if (!policy_name.empty()) {
-    policy_ = MakePolicy(policy_name, params);
-    MTM_CHECK(policy_ != nullptr) << "unknown policy: " << policy_name;
-  }
+  policy_ = MakePolicy(policy_name_, params);
+  MTM_CHECK(policy_ != nullptr) << "unknown policy: " << policy_name_;
 
-  // Migration mechanism.
-  MechanismKind mech = MechanismKind::kMovePages;
-  switch (kind) {
-    case SolutionKind::kMtm:
-    case SolutionKind::kThermostatProfilerMtmMigration:
-    case SolutionKind::kAutoNumaProfilerMtmMigration:
-      mech = config.mtm.mechanism;
-      break;
-    case SolutionKind::kHemem:
-      mech = MechanismKind::kNimble;  // HeMem migrates asynchronously in userspace
-      break;
-    default:
-      mech = MechanismKind::kMovePages;  // kernel default path
-      break;
-  }
+  const MechanismKind mech = row.mtm_stack ? config.mtm.mechanism : row.mechanism;
   migration_ = std::make_unique<MigrationEngine>(*machine_, page_table_, *frames_,
                                                  address_space_, *counters_, clock_, mech);
   engine_->set_write_track_observer(migration_.get());

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "src/mem/frame_allocator.h"
 #include "src/mem/placement.h"
 #include "src/migration/admission/admission.h"
+#include "src/migration/mechanism.h"
 #include "src/migration/migration_engine.h"
 #include "src/migration/policy.h"
 #include "src/profiling/profiler.h"
@@ -40,6 +42,25 @@ enum class SolutionKind {
   kThermostatProfilerMtmMigration,
   kAutoNumaProfilerMtmMigration,
 };
+
+// One row per SolutionKind, in enum order: the single declaration of each
+// solution's name and of the choices Solution wires from it.
+struct SolutionInfo {
+  SolutionKind kind;
+  const char* name;
+  // Registry key (src/migration/policy_registry.h) of the default tiering
+  // policy; null for the rows with no profiler, policy or migration.
+  const char* default_policy;
+  // Rows on the MTM stack take placement and mechanism from config.mtm (the
+  // §9.3 ablations sweep them); the other rows use the two fields below.
+  bool mtm_stack;
+  bool figure4;  // one of Figure 4's six solutions
+  PlacementPolicy placement = PlacementPolicy::kFirstTouch;
+  MechanismKind mechanism = MechanismKind::kMovePages;  // the kernel's default path
+};
+
+std::span<const SolutionInfo> AllSolutions();
+const SolutionInfo& SolutionInfoOf(SolutionKind kind);
 
 const char* SolutionKindName(SolutionKind kind);
 // False (and *out untouched) for an unknown name.
@@ -69,6 +90,8 @@ class Solution {
 
   Profiler* profiler() { return profiler_.get(); }          // may be null
   TieringPolicy* policy() { return policy_.get(); }          // may be null
+  // Registry key of the active policy; empty when there is none.
+  const std::string& policy_name() const { return policy_name_; }
   // True when config.policy_override swapped in a policy other than the
   // solution kind's default (reports surface the active policy then).
   bool policy_overridden() const { return policy_overridden_; }
@@ -100,6 +123,7 @@ class Solution {
   std::unique_ptr<PlacementFaultHandler> fault_handler_;
   std::vector<std::unique_ptr<HmcCache>> hmc_caches_;
 
+  std::string policy_name_;
   bool policy_overridden_ = false;
   std::unique_ptr<Profiler> profiler_;
   std::unique_ptr<TieringPolicy> policy_;

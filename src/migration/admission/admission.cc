@@ -1,34 +1,12 @@
 #include "src/migration/admission/admission.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/logging.h"
 #include "src/common/types.h"
 
 namespace mtm {
-
-const char* AdmissionKindName(AdmissionKind kind) {
-  switch (kind) {
-    case AdmissionKind::kVanilla:
-      return "vanilla";
-    case AdmissionKind::kPpt:
-      return "ppt";
-    case AdmissionKind::kBandwidth:
-      return "bandwidth";
-  }
-  return "?";
-}
-
-bool AdmissionKindFromName(const std::string& name, AdmissionKind* out) {
-  for (AdmissionKind k :
-       {AdmissionKind::kVanilla, AdmissionKind::kPpt, AdmissionKind::kBandwidth}) {
-    if (name == AdmissionKindName(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
-}
 
 MigrationHistory::Outcome MigrationHistory::RecordMove(VirtAddr start, bool is_promotion,
                                                        Bytes bytes, SimNanos now) {
@@ -96,7 +74,6 @@ namespace {
 class VanillaAdmission : public AdmissionController {
  public:
   AdmissionKind kind() const override { return AdmissionKind::kVanilla; }
-  std::string name() const override { return AdmissionKindName(kind()); }
   AdmissionVerdict Admit(const AdmissionRequest&, const MigrationHistory&,
                          const AdmissionBudget&) override {
     return AdmissionVerdict::kAdmit;
@@ -112,7 +89,6 @@ class PptAdmission : public AdmissionController {
   explicit PptAdmission(const AdmissionTuning& tuning) : tuning_(tuning) {}
 
   AdmissionKind kind() const override { return AdmissionKind::kPpt; }
-  std::string name() const override { return AdmissionKindName(kind()); }
 
   AdmissionVerdict Admit(const AdmissionRequest& request, const MigrationHistory& history,
                          const AdmissionBudget&) override {
@@ -158,7 +134,6 @@ class PptAdmission : public AdmissionController {
 class BandwidthAdmission : public AdmissionController {
  public:
   AdmissionKind kind() const override { return AdmissionKind::kBandwidth; }
-  std::string name() const override { return AdmissionKindName(kind()); }
 
   AdmissionVerdict Admit(const AdmissionRequest& request, const MigrationHistory&,
                          const AdmissionBudget& budget) override {
@@ -203,20 +178,55 @@ class BandwidthAdmission : public AdmissionController {
   }
 };
 
+template <typename Controller>
+std::unique_ptr<AdmissionController> Make(const AdmissionTuning& tuning) {
+  if constexpr (requires { Controller(tuning); }) {
+    return std::make_unique<Controller>(tuning);
+  } else {
+    return std::make_unique<Controller>();
+  }
+}
+
+// One row per AdmissionKind: the single declaration of each controller's
+// name and constructor.
+struct AdmissionEntry {
+  AdmissionKind kind;
+  const char* name;
+  std::unique_ptr<AdmissionController> (*make)(const AdmissionTuning&);
+};
+constexpr std::array<AdmissionEntry, 3> kAdmissions = {{
+    {AdmissionKind::kVanilla, "vanilla", Make<VanillaAdmission>},
+    {AdmissionKind::kPpt, "ppt", Make<PptAdmission>},
+    {AdmissionKind::kBandwidth, "bandwidth", Make<BandwidthAdmission>},
+}};
+
+const AdmissionEntry& EntryOf(AdmissionKind kind) {
+  for (const AdmissionEntry& entry : kAdmissions) {
+    if (entry.kind == kind) {
+      return entry;
+    }
+  }
+  MTM_CHECK(false) << "unknown admission kind";
+  return kAdmissions[0];
+}
+
 }  // namespace
+
+const char* AdmissionKindName(AdmissionKind kind) { return EntryOf(kind).name; }
+
+bool AdmissionKindFromName(const std::string& name, AdmissionKind* out) {
+  for (const AdmissionEntry& entry : kAdmissions) {
+    if (name == entry.name) {
+      *out = entry.kind;
+      return true;
+    }
+  }
+  return false;
+}
 
 std::unique_ptr<AdmissionController> MakeAdmissionController(AdmissionKind kind,
                                                              const AdmissionTuning& tuning) {
-  switch (kind) {
-    case AdmissionKind::kVanilla:
-      return std::make_unique<VanillaAdmission>();
-    case AdmissionKind::kPpt:
-      return std::make_unique<PptAdmission>(tuning);
-    case AdmissionKind::kBandwidth:
-      return std::make_unique<BandwidthAdmission>();
-  }
-  MTM_CHECK(false) << "unknown admission kind";
-  return nullptr;
+  return EntryOf(kind).make(tuning);
 }
 
 }  // namespace mtm

@@ -162,8 +162,8 @@ class AdmissionController {
  public:
   virtual ~AdmissionController() = default;
 
+  // Reports name the controller by AdmissionKindName(kind()).
   virtual AdmissionKind kind() const = 0;
-  virtual std::string name() const = 0;
 
   // The per-order gate, consulted by the engine after an order passes its
   // validity checks and before any cost is charged or tracking armed.

@@ -34,7 +34,9 @@ struct MigrationCostModel {
   // One-time costs per region operation.
   SimNanos tlb_flush_ns = Nanos(4000);          // single flush for dirty tracking (§7.2)
   SimNanos write_track_arm_per_page_ns = Nanos(60);
-  SimNanos pt_page_move_ns = Nanos(2000);       // "move corresponding page table pages"
+  // Flat per region, whatever the table size: "move corresponding page
+  // table pages" (§7).
+  SimNanos pt_page_move_ns = Nanos(2000);
 
   // Parallel-copy thread count for Nimble and the MMR helper threads.
   double copy_parallelism = 4.0;

@@ -7,20 +7,13 @@
 namespace mtm {
 
 std::vector<MigrationOrder> FeaturePolicy::Decide(const ProfileOutput& profile,
-                                                  const std::vector<FeatureVector>& features,
                                                   PolicyContext& ctx) {
   std::vector<double> scores;
-  scores.reserve(features.size());
-  for (const FeatureVector& f : features) {
+  scores.reserve(profile.entries.size());
+  for (const FeatureVector& f : BuildFeatures(profile, ctx)) {
     scores.push_back(Score(f));
   }
-  return DecideByScore(profile, scores, ctx, decide_config_);
-}
-
-std::vector<MigrationOrder> FeatureDrivenPolicy::Decide(const ProfileOutput& profile,
-                                                        PolicyContext& ctx) {
-  std::vector<FeatureVector> features = BuildFeatures(profile, ctx);
-  return impl_->Decide(profile, features, ctx);
+  return DecideByScore(profile, scores, ctx, params_);
 }
 
 LogisticPolicy::Coefficients LogisticPolicy::FittedCoefficients() {

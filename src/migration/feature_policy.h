@@ -1,21 +1,17 @@
 // The plugin side of the policy API: a FeaturePolicy scores FeatureVectors
 // (src/migration/features.h) and inherits MTM's fast-promotion /
 // slow-demotion machinery (DecideByScore) for turning scores into orders.
-// FeatureDrivenPolicy adapts any FeaturePolicy to the TieringPolicy
-// interface the driver runs, so plugins slot into every experiment via the
+// It is a TieringPolicy, so plugins slot into every experiment via the
 // registry (src/migration/policy_registry.h) without touching the driver.
 //
-// Two scorers ship here:
-//   * MtmScorePolicy  — the WHI passthrough; behind FeatureDrivenPolicy it
-//     is byte-identical to MtmPolicy (differential-tested against
-//     tests/golden/), the proof the feature path adds no decision drift;
-//   * LogisticPolicy  — a fitted logistic scorer over the full feature
-//     vector, coefficients produced offline by tools/fit_logistic_policy.py
-//     from --policy-features-out dumps and checked in.
+// One scorer ships here: LogisticPolicy, a fitted logistic scorer over the
+// full feature vector, coefficients produced offline by
+// tools/fit_logistic_policy.py from --policy-features-out dumps and checked
+// in. The production MTM policy is MtmPolicy, which ranks by the raw WHI
+// and so skips building features.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <array>
 #include <vector>
 
 #include "src/migration/admission/admission.h"
@@ -25,57 +21,28 @@
 
 namespace mtm {
 
-class FeaturePolicy {
+class FeaturePolicy : public TieringPolicy {
  public:
-  // `decide_config` parameterizes the shared DecideByScore machinery
-  // (promotion budget, histogram buckets, score range; a non-positive
-  // hotness_max adapts to the scorer's output scale each interval).
-  explicit FeaturePolicy(const MtmPolicy::Config& decide_config)
-      : decide_config_(decide_config) {}
-  virtual ~FeaturePolicy() = default;
-
-  virtual std::string name() const = 0;
+  // `params` parameterize the shared DecideByScore machinery (promotion
+  // budget, score range; a non-positive hotness_max adapts to the scorer's
+  // output scale each interval).
+  explicit FeaturePolicy(const PolicyParams& params) : params_(params) {}
 
   // Per-region score: higher promotes first, colder demotes first. Must be
   // a pure function of the features (determinism contract).
   virtual double Score(const FeatureVector& features) const = 0;
 
-  // Batch decision. The default scores every region and runs DecideByScore;
-  // override only to replace the order-construction machinery itself.
-  virtual std::vector<MigrationOrder> Decide(const ProfileOutput& profile,
-                                             const std::vector<FeatureVector>& features,
-                                             PolicyContext& ctx);
-
- protected:
-  MtmPolicy::Config decide_config_;
-};
-
-// TieringPolicy adapter: builds the feature vectors each interval and hands
-// them to the wrapped FeaturePolicy.
-class FeatureDrivenPolicy : public TieringPolicy {
- public:
-  explicit FeatureDrivenPolicy(std::unique_ptr<FeaturePolicy> impl) : impl_(std::move(impl)) {}
-  std::string name() const override { return impl_->name(); }
-  std::vector<MigrationOrder> Decide(const ProfileOutput& profile, PolicyContext& ctx) override;
+  // Builds the feature vectors, scores every region and runs DecideByScore.
+  std::vector<MigrationOrder> Decide(const ProfileOutput& profile, PolicyContext& ctx) final;
 
  private:
-  std::unique_ptr<FeaturePolicy> impl_;
-};
-
-// WHI passthrough scorer: Score returns the raw hotness feature, so the
-// decisions match MtmPolicy byte-for-byte under the same config.
-class MtmScorePolicy : public FeaturePolicy {
- public:
-  using FeaturePolicy::FeaturePolicy;
-  std::string name() const override { return "mtm-feature"; }
-  double Score(const FeatureVector& features) const override { return features.x[kFeatWhi]; }
+  PolicyParams params_;
 };
 
 // Fitted logistic scorer: sigmoid(w . x + b) estimates the probability the
-// region is hot next interval. Scores live in (0, 1), so the decide config
-// must use an adaptive hotness_max (the registry forces it). Stone-cold
-// regions (zero WHI) score zero outright so the bias term alone can never
-// promote them.
+// region is hot next interval. Scores live in (0, 1), so the constructor
+// forces an adaptive hotness_max. Stone-cold regions (zero WHI) score zero
+// outright so the bias term alone can never promote them.
 class LogisticPolicy : public FeaturePolicy {
  public:
   struct Coefficients {
@@ -87,15 +54,17 @@ class LogisticPolicy : public FeaturePolicy {
   // --policy-features-out dumps of the Table-2 workloads under --policy=mtm.
   static Coefficients FittedCoefficients();
 
-  LogisticPolicy(const MtmPolicy::Config& decide_config, Coefficients coef)
-      : FeaturePolicy(decide_config), coef_(coef) {}
-  explicit LogisticPolicy(const MtmPolicy::Config& decide_config)
-      : LogisticPolicy(decide_config, FittedCoefficients()) {}
+  explicit LogisticPolicy(const PolicyParams& params)
+      : FeaturePolicy(Adaptive(params)), coef_(FittedCoefficients()) {}
 
-  std::string name() const override { return "logistic"; }
   double Score(const FeatureVector& features) const override;
 
  private:
+  static PolicyParams Adaptive(PolicyParams params) {
+    params.hotness_max = -1.0;
+    return params;
+  }
+
   Coefficients coef_;
 };
 

@@ -13,6 +13,11 @@
 namespace mtm {
 namespace {
 
+// MTM's histogram resolution, and the score below which a region is
+// stone-cold and never promotes.
+constexpr u32 kNumBuckets = 16;
+constexpr double kMinHotness = 1e-9;
+
 i64 FramesCapacity(PolicyContext& ctx, ComponentId c) {
   return static_cast<i64>(ctx.frames->capacity(c).value());
 }
@@ -65,20 +70,19 @@ std::pair<VirtAddr, ComponentId> SlowestSliceStart(PolicyContext& ctx, const Hot
 
 std::vector<MigrationOrder> MtmPolicy::Decide(const ProfileOutput& profile,
                                               PolicyContext& ctx) {
-  // The raw WHI is the score (§6): DecideByScore with scores == hotness is
-  // the pre-refactor MtmPolicy, byte-for-byte.
+  // The raw WHI is the score (§6).
   std::vector<double> scores;
   scores.reserve(profile.entries.size());
   for (const HotnessEntry& e : profile.entries) {
     scores.push_back(e.hotness);
   }
-  return DecideByScore(profile, scores, ctx, config_);
+  return DecideByScore(profile, scores, ctx, params_);
 }
 
 std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
                                           const std::vector<double>& scores, PolicyContext& ctx,
-                                          const MtmPolicy::Config& config) {
-  MTM_CHECK_GT(config.promote_batch_bytes, Bytes{});
+                                          const PolicyParams& params) {
+  MTM_CHECK_GT(params.promote_batch_bytes, Bytes{});
   MTM_CHECK_EQ(scores.size(), profile.entries.size());
   const Machine& machine = *ctx.machine;
   std::vector<MigrationOrder> orders;
@@ -87,7 +91,7 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
   // A non-positive hotness_max adapts to the scorer's scale (used when
   // MTM's policy runs on a foreign profiler's output, §9.3, and by fitted
   // scorers whose range is not [0, num_scans]).
-  double hotness_max = config.hotness_max;
+  double hotness_max = params.hotness_max;
   if (hotness_max <= 0.0) {
     for (double s : scores) {
       hotness_max = std::max(hotness_max, s);
@@ -96,7 +100,7 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
       return {};
     }
   }
-  BucketedHistogram<std::size_t> hist(0.0, hotness_max, config.num_buckets);
+  BucketedHistogram<std::size_t> hist(0.0, hotness_max, kNumBuckets);
   for (std::size_t i = 0; i < profile.entries.size(); ++i) {
     hist.Update(i, scores[i]);
   }
@@ -114,7 +118,7 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
   // Tries to free `need` bytes on dst by demoting colder-than-`score`
   // resident entries one tier down ("slow demotion"). Appends demotion
   // orders; returns true once planned_free[dst] >= need.
-  const double hysteresis = hotness_max / static_cast<double>(config.num_buckets) * 2.0;
+  const double hysteresis = hotness_max / static_cast<double>(kNumBuckets) * 2.0;
   auto make_room = [&](ComponentId dst, i64 need, double score, u32 /*socket*/) -> bool {
     if (planned_free[dst] >= need) {
       return true;
@@ -166,13 +170,13 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
     return planned_free[dst] >= need;
   };
 
-  i64 budget = static_cast<i64>(config.promote_batch_bytes.value());
+  i64 budget = static_cast<i64>(params.promote_batch_bytes.value());
   for (std::size_t idx : hottest) {
     if (budget <= 0) {
       break;
     }
     const HotnessEntry& e = profile.entries[idx];
-    if (scores[idx] < config.min_hotness || planned.count(idx) > 0) {
+    if (scores[idx] < kMinHotness || planned.count(idx) > 0) {
       continue;
     }
     u32 socket = e.preferred_socket;
@@ -218,7 +222,7 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
 
 std::vector<MigrationOrder> AutoNumaPolicy::Decide(const ProfileOutput& profile,
                                                    PolicyContext& ctx) {
-  MTM_CHECK_GT(config_.promote_batch_bytes, Bytes{});
+  MTM_CHECK_GT(params_.promote_batch_bytes, Bytes{});
   const Machine& machine = *ctx.machine;
   std::vector<const HotnessEntry*> candidates;
   for (const HotnessEntry& e : profile.entries) {
@@ -226,7 +230,7 @@ std::vector<MigrationOrder> AutoNumaPolicy::Decide(const ProfileOutput& profile,
       candidates.push_back(&e);
     }
   }
-  if (config_.patched) {
+  if (patched_) {
     // MFU with auto threshold: rank by fault count; the budget cut-off is
     // the automatically adjusted hot threshold.
     std::sort(candidates.begin(), candidates.end(),
@@ -235,7 +239,7 @@ std::vector<MigrationOrder> AutoNumaPolicy::Decide(const ProfileOutput& profile,
               });
   }
   std::vector<MigrationOrder> orders;
-  i64 budget = static_cast<i64>(config_.promote_batch_bytes.value());
+  i64 budget = static_cast<i64>(params_.promote_batch_bytes.value());
   for (const HotnessEntry* e : candidates) {
     if (budget <= 0) {
       break;
@@ -269,14 +273,14 @@ std::vector<MigrationOrder> AutoNumaPolicy::Decide(const ProfileOutput& profile,
 
 std::vector<MigrationOrder> AutoTieringPolicy::Decide(const ProfileOutput& profile,
                                                       PolicyContext& ctx) {
-  MTM_CHECK_GT(config_.promote_batch_bytes, Bytes{});
+  MTM_CHECK_GT(params_.promote_batch_bytes, Bytes{});
   const Machine& machine = *ctx.machine;
   std::vector<MigrationOrder> orders;
   IdMap<ComponentId, i64> planned_free(machine.num_components());
   for (ComponentId c{0}; c < machine.end_component(); ++c) {
     planned_free[c] = static_cast<i64>(ctx.frames->free_bytes(c).value());
   }
-  i64 budget = static_cast<i64>(config_.promote_batch_bytes.value());
+  i64 budget = static_cast<i64>(params_.promote_batch_bytes.value());
   for (const HotnessEntry& e : profile.entries) {
     if (budget <= 0) {
       break;
@@ -312,12 +316,12 @@ std::vector<MigrationOrder> AutoTieringPolicy::Decide(const ProfileOutput& profi
 
 std::vector<MigrationOrder> HememPolicy::Decide(const ProfileOutput& profile,
                                                 PolicyContext& ctx) {
-  MTM_CHECK_GT(config_.promote_batch_bytes, Bytes{});
+  MTM_CHECK_GT(params_.promote_batch_bytes, Bytes{});
   const Machine& machine = *ctx.machine;
   ComponentId dram = machine.TierOrder(0)[0];
   std::vector<const HotnessEntry*> hot;
   for (const HotnessEntry& e : profile.entries) {
-    if (e.hotness >= config_.hot_threshold) {
+    if (e.hotness >= kHotThreshold) {
       hot.push_back(&e);
     }
   }
@@ -325,7 +329,7 @@ std::vector<MigrationOrder> HememPolicy::Decide(const ProfileOutput& profile,
     return a->hotness > b->hotness;
   });
   std::vector<MigrationOrder> orders;
-  i64 budget = static_cast<i64>(config_.promote_batch_bytes.value());
+  i64 budget = static_cast<i64>(params_.promote_batch_bytes.value());
   for (const HotnessEntry* e : hot) {
     if (budget <= 0) {
       break;

@@ -2,7 +2,6 @@
 // move where (§6).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "src/common/types.h"
@@ -27,10 +26,18 @@ struct PolicyContext {
   SimNanos interval_ns;  // profiling-interval length (recency normalization)
 };
 
+// Construction knobs every registered policy is built from
+// (src/migration/policy_registry.h).
+struct PolicyParams {
+  Bytes promote_batch_bytes;  // required: N in §6.1 (200 MB on testbed)
+  // Score range of the histogram policies (mtm, logistic); non-positive
+  // adapts to the profiler's scale each interval (§9.3 ablations).
+  double hotness_max = -1.0;
+};
+
 class TieringPolicy {
  public:
   virtual ~TieringPolicy() = default;
-  virtual std::string name() const = 0;
 
   // Returns orders in execution sequence (demotions that make room come
   // before the promotions that need it).
@@ -41,7 +48,6 @@ class TieringPolicy {
 // No migration at all (first-touch NUMA, HMC).
 class NullPolicy : public TieringPolicy {
  public:
-  std::string name() const override { return "none"; }
   std::vector<MigrationOrder> Decide(const ProfileOutput&, PolicyContext&) override {
     return {};
   }
@@ -53,32 +59,23 @@ class NullPolicy : public TieringPolicy {
 // demotion (colder-than-incoming regions step down one tier with space).
 class MtmPolicy : public TieringPolicy {
  public:
-  struct Config {
-    Bytes promote_batch_bytes;  // required: N in §6.1 (200 MB on testbed)
-    u32 num_buckets = 16;
-    double hotness_max = 3.0;  // WHI range is [0, num_scans]
-    double min_hotness = 1e-9;  // never promote stone-cold regions
-  };
-
-  explicit MtmPolicy(Config config) : config_(config) {}
-  std::string name() const override { return "mtm-policy"; }
+  explicit MtmPolicy(const PolicyParams& params) : params_(params) {}
   std::vector<MigrationOrder> Decide(const ProfileOutput& profile, PolicyContext& ctx) override;
 
  private:
-  Config config_;
+  PolicyParams params_;
 };
 
 // The fast-promotion / slow-demotion core of MtmPolicy::Decide, driven by an
 // explicit per-entry score vector (`scores[i]` ranks `profile.entries[i]`;
 // higher promotes first, colder demotes first). MtmPolicy passes the raw WHI
-// as the score; feature-driven policies (src/migration/feature_policy.h)
-// substitute any fitted scorer and inherit the same histogram thresholds,
-// make-room hysteresis, and huge-page slicing. With scores equal to the
-// entry hotness this is byte-identical to the pre-refactor MtmPolicy.
-// `scores.size()` must equal `profile.entries.size()`.
+// as the score; feature policies (src/migration/feature_policy.h) substitute
+// any fitted scorer and inherit the same histogram thresholds, make-room
+// hysteresis, and huge-page slicing. `scores.size()` must equal
+// `profile.entries.size()`.
 std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
                                           const std::vector<double>& scores, PolicyContext& ctx,
-                                          const MtmPolicy::Config& config);
+                                          const PolicyParams& params);
 
 // Tiered-AutoNUMA policy: pages promote one tier at a time toward the
 // faulting socket's faster memory. Vanilla uses the binary two-touch
@@ -86,52 +83,37 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
 // threshold auto-adjusted to the promotion budget.
 class AutoNumaPolicy : public TieringPolicy {
  public:
-  struct Config {
-    Bytes promote_batch_bytes;  // required
-    bool patched = true;
-  };
-
-  explicit AutoNumaPolicy(Config config) : config_(config) {}
-  std::string name() const override {
-    return config_.patched ? "tiered-autonuma" : "vanilla-tiered-autonuma";
-  }
+  AutoNumaPolicy(const PolicyParams& params, bool patched)
+      : params_(params), patched_(patched) {}
   std::vector<MigrationOrder> Decide(const ProfileOutput& profile, PolicyContext& ctx) override;
 
  private:
-  Config config_;
+  PolicyParams params_;
+  bool patched_;
 };
 
 // AutoTiering policy: opportunistic promotion of any sampled-hot chunk
 // directly to the fastest tier with free space; no hotness ranking.
 class AutoTieringPolicy : public TieringPolicy {
  public:
-  struct Config {
-    Bytes promote_batch_bytes;  // required
-  };
-
-  explicit AutoTieringPolicy(Config config) : config_(config) {}
-  std::string name() const override { return "autotiering"; }
+  explicit AutoTieringPolicy(const PolicyParams& params) : params_(params) {}
   std::vector<MigrationOrder> Decide(const ProfileOutput& profile, PolicyContext& ctx) override;
 
  private:
-  Config config_;
+  PolicyParams params_;
 };
 
 // HeMem policy (two tiers): PEBS-hot pages promote to DRAM; eviction under
 // pressure is reclaim-based demotion of inactive pages.
 class HememPolicy : public TieringPolicy {
  public:
-  struct Config {
-    Bytes promote_batch_bytes;  // required
-    double hot_threshold = 2.0;
-  };
+  static constexpr double kHotThreshold = 2.0;  // PEBS samples per interval
 
-  explicit HememPolicy(Config config) : config_(config) {}
-  std::string name() const override { return "hemem"; }
+  explicit HememPolicy(const PolicyParams& params) : params_(params) {}
   std::vector<MigrationOrder> Decide(const ProfileOutput& profile, PolicyContext& ctx) override;
 
  private:
-  Config config_;
+  PolicyParams params_;
 };
 
 }  // namespace mtm

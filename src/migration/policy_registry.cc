@@ -8,59 +8,26 @@
 namespace mtm {
 namespace {
 
-MtmPolicy::Config MtmConfigFrom(const PolicyParams& params) {
-  MtmPolicy::Config config;
-  config.promote_batch_bytes = params.promote_batch_bytes;
-  config.num_buckets = params.num_buckets;
-  config.hotness_max = params.hotness_max;
-  return config;
+template <typename Policy, auto... kArgs>
+std::unique_ptr<TieringPolicy> Make(const PolicyParams& params) {
+  return std::make_unique<Policy>(params, kArgs...);
+}
+
+std::unique_ptr<TieringPolicy> MakeNull(const PolicyParams&) {
+  return std::make_unique<NullPolicy>();
 }
 
 // std::map keeps KnownPolicyNames() sorted without a second pass.
 std::map<std::string, PolicyFactory>& Registry() {
-  static auto* registry = [] {
-    auto* r = new std::map<std::string, PolicyFactory>();
-    auto mtm_factory = [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
-      return std::make_unique<MtmPolicy>(MtmConfigFrom(params));
-    };
-    (*r)["mtm"] = mtm_factory;
-    (*r)["mtm-policy"] = mtm_factory;  // alias: the policy's self-reported name
-    auto autonuma_factory = [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
-      return std::make_unique<AutoNumaPolicy>(
-          AutoNumaPolicy::Config{params.promote_batch_bytes, /*patched=*/true});
-    };
-    (*r)["autonuma"] = autonuma_factory;
-    (*r)["tiered-autonuma"] = autonuma_factory;
-    auto vanilla_factory = [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
-      return std::make_unique<AutoNumaPolicy>(
-          AutoNumaPolicy::Config{params.promote_batch_bytes, /*patched=*/false});
-    };
-    (*r)["vanilla-autonuma"] = vanilla_factory;
-    (*r)["vanilla-tiered-autonuma"] = vanilla_factory;
-    (*r)["autotiering"] = [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
-      return std::make_unique<AutoTieringPolicy>(
-          AutoTieringPolicy::Config{params.promote_batch_bytes});
-    };
-    (*r)["hemem"] = [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
-      return std::make_unique<HememPolicy>(
-          HememPolicy::Config{params.promote_batch_bytes, params.hot_threshold});
-    };
-    (*r)["none"] = [](const PolicyParams&) -> std::unique_ptr<TieringPolicy> {
-      return std::make_unique<NullPolicy>();
-    };
-    (*r)["mtm-feature"] = [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
-      return std::make_unique<FeatureDrivenPolicy>(
-          std::make_unique<MtmScorePolicy>(MtmConfigFrom(params)));
-    };
-    (*r)["logistic"] = [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
-      // Logistic scores live in (0, 1): force the adaptive score range
-      // regardless of the experiment's WHI-scale hotness_max.
-      MtmPolicy::Config config = MtmConfigFrom(params);
-      config.hotness_max = -1.0;
-      return std::make_unique<FeatureDrivenPolicy>(std::make_unique<LogisticPolicy>(config));
-    };
-    return r;
-  }();
+  static auto* registry = new std::map<std::string, PolicyFactory>{
+      {"none", MakeNull},
+      {"mtm", Make<MtmPolicy>},
+      {"logistic", Make<LogisticPolicy>},
+      {"autonuma", Make<AutoNumaPolicy, /*patched=*/true>},
+      {"vanilla-autonuma", Make<AutoNumaPolicy, /*patched=*/false>},
+      {"autotiering", Make<AutoTieringPolicy>},
+      {"hemem", Make<HememPolicy>},
+  };
   return *registry;
 }
 

@@ -1,9 +1,10 @@
 // String-keyed policy registry: every tiering policy — built-in heuristics
 // and feature-driven plugins alike — is constructible by name through one
-// factory, replacing the hand-wired switches in core/Solution and the
-// tools. `--policy=<name>` anywhere resolves through this table, and
-// out-of-tree code can RegisterPolicy its own plugin (examples/
-// custom_policy.cpp) without touching the core.
+// factory, and that name is the policy's only identity (reports print it).
+// `--policy=<name>` anywhere resolves through this table, and out-of-tree
+// code can RegisterPolicy its own plugin (examples/custom_policy.cpp)
+// without touching the core. Shipped keys: none, mtm, logistic, autonuma,
+// vanilla-autonuma, autotiering, hemem.
 #pragma once
 
 #include <functional>
@@ -11,21 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "src/common/types.h"
 #include "src/migration/policy.h"
 
 namespace mtm {
-
-// Construction knobs a factory may consume; unknown-to-a-policy fields are
-// ignored. promote_batch_bytes is required by every shipped policy.
-struct PolicyParams {
-  Bytes promote_batch_bytes;
-  // Score range for histogram-based policies; non-positive adapts to the
-  // profiler's scale each interval (§9.3 ablations).
-  double hotness_max = -1.0;
-  u32 num_buckets = 16;
-  double hot_threshold = 2.0;  // hemem
-};
 
 using PolicyFactory = std::function<std::unique_ptr<TieringPolicy>(const PolicyParams&)>;
 
@@ -38,7 +27,7 @@ std::unique_ptr<TieringPolicy> MakePolicy(const std::string& name, const PolicyP
 
 bool IsKnownPolicy(const std::string& name);
 
-// Every registered name (aliases included), sorted.
+// Every registered name, sorted.
 std::vector<std::string> KnownPolicyNames();
 
 }  // namespace mtm

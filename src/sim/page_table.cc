@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/common/logging.h"
+
 namespace mtm {
 
 namespace {
@@ -54,7 +56,6 @@ Status PageTable::MapOne(VirtAddr addr, ComponentId component, bool huge) {
         }
       }
       chunk.leaf.reset();
-      --leaf_count_;
     }
     chunk.huge = Pte{};
     chunk.huge.Set(Pte::kPresent);
@@ -69,7 +70,6 @@ Status PageTable::MapOne(VirtAddr addr, ComponentId component, bool huge) {
   }
   if (chunk.leaf == nullptr) {
     chunk.leaf = std::make_unique<Leaf>();
-    ++leaf_count_;
   }
   Pte& pte = chunk.leaf->entries[addr.Shifted(kPageShift) & (kPagesPerHugePage - 1)];
   if (pte.present()) {
@@ -92,7 +92,11 @@ Status PageTable::MapRange(VirtAddr start, Bytes len, ComponentId component, boo
     return InvalidArgumentError("unaligned map range");
   }
   for (VirtAddr addr = start; addr < start + len; addr += page) {
-    MTM_RETURN_IF_ERROR(MapOne(addr, component, huge));
+    if (Status status = MapOne(addr, component, huge); !status.ok()) {
+      // Unmap the pages this call mapped so a failed map changes nothing.
+      MTM_CHECK(UnmapRange(start, Bytes(addr - start)).ok());
+      return status;
+    }
   }
   return OkStatus();
 }
@@ -141,7 +145,6 @@ Status PageTable::SplitHuge(VirtAddr addr) {
   chunk.huge = Pte{};
   if (chunk.leaf == nullptr) {
     chunk.leaf = std::make_unique<Leaf>();
-    ++leaf_count_;
   }
   chunk.leaf->entries.fill(copy);
   --mapped_huge_pages_;

@@ -86,7 +86,8 @@ class PageTable {
 
   // Maps [start, start+len) onto `component`. With huge=true, start and len
   // must be 2 MiB aligned and each 2 MiB chunk becomes one huge leaf.
-  // Fails with kAlreadyExists if any page in the range is already mapped.
+  // Fails with kAlreadyExists, mapping nothing, if any page in the range is
+  // already mapped.
   Status MapRange(VirtAddr start, Bytes len, ComponentId component, bool huge);
 
   // Unmaps every mapping that starts within [start, start+len). Huge
@@ -140,11 +141,6 @@ class PageTable {
   u64 mapped_base_pages() const { return mapped_base_pages_; }
   u64 mapped_huge_pages() const { return mapped_huge_pages_; }
 
-  // Number of 4 KiB pages occupied by the table itself (the "page table
-  // pages" migrated by move_memory_regions in Figure 2/3): one per
-  // directory and one per leaf.
-  u64 page_table_pages() const { return dirs_.size() + leaf_count_; }
-
  private:
   static constexpr u64 kDirShift = kHugePageShift + 9;  // one directory maps 1 GiB
   static constexpr u64 kChunksPerDir = u64{1} << (kDirShift - kHugePageShift);
@@ -180,7 +176,6 @@ class PageTable {
   Bytes mapped_bytes_;
   u64 mapped_base_pages_ = 0;
   u64 mapped_huge_pages_ = 0;
-  u64 leaf_count_ = 0;
 };
 
 }  // namespace mtm

@@ -132,7 +132,6 @@ TEST(AdmissionKindTest, NamesRoundTrip) {
     EXPECT_EQ(parsed, kind);
     auto controller = MakeAdmissionController(kind, TestTuning());
     EXPECT_EQ(controller->kind(), kind);
-    EXPECT_EQ(controller->name(), AdmissionKindName(kind));
   }
   AdmissionKind parsed = AdmissionKind::kPpt;
   EXPECT_FALSE(AdmissionKindFromName("bogus", &parsed));

@@ -9,6 +9,7 @@
 #include "src/common/types.h"
 #include "src/core/driver.h"
 #include "src/core/experiment.h"
+#include "src/core/report.h"
 #include "src/core/solution.h"
 #include "src/migration/mechanism.h"
 #include "src/mem/address_space.h"
@@ -27,29 +28,44 @@ ExperimentConfig TinyConfig() {
 }
 
 TEST(SolutionTest, NamesRoundTrip) {
-  for (SolutionKind kind :
-       {SolutionKind::kFirstTouch, SolutionKind::kHmc, SolutionKind::kVanillaTieredAutoNuma,
-        SolutionKind::kTieredAutoNuma, SolutionKind::kAutoTiering, SolutionKind::kHemem,
-        SolutionKind::kMtm, SolutionKind::kThermostatProfilerMtmMigration,
-        SolutionKind::kAutoNumaProfilerMtmMigration}) {
+  std::size_t figure4 = 0;
+  for (const SolutionInfo& row : AllSolutions()) {
+    EXPECT_EQ(SolutionKindName(row.kind), std::string(row.name));
     SolutionKind parsed = SolutionKind::kFirstTouch;
-    ASSERT_TRUE(SolutionKindFromName(SolutionKindName(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
+    ASSERT_TRUE(SolutionKindFromName(row.name, &parsed));
+    EXPECT_EQ(parsed, row.kind);
+    figure4 += row.figure4 ? 1 : 0;
   }
+  EXPECT_EQ(AllSolutions().size(), 9u);
   SolutionKind unknown = SolutionKind::kMtm;
   EXPECT_FALSE(SolutionKindFromName("bogus", &unknown));
   EXPECT_EQ(Figure4Solutions().size(), 6u);
+  EXPECT_EQ(figure4, 6u);
+}
+
+TEST(SolutionTest, DefaultPolicyOverrideIsNoOp) {
+  // Naming a row's own default policy through the override must not change
+  // the run: the table's key is the one the registry builds by default.
+  ExperimentConfig config = TinyConfig();
+  config.num_intervals = 6;
+  for (const SolutionInfo& row : AllSolutions()) {
+    if (row.default_policy == nullptr) {
+      continue;
+    }
+    SCOPED_TRACE(row.name);
+    const std::string plain = Render(RunExperiment("gups", row.kind, config), ReportFormat::kJson);
+    ExperimentConfig overridden = config;
+    overridden.policy_override = row.default_policy;
+    EXPECT_EQ(Render(RunExperiment("gups", row.kind, overridden), ReportFormat::kJson), plain);
+  }
 }
 
 TEST(SolutionTest, TrackerWiredOnlyForThermostat) {
   // Only Thermostat reads per-page access counts, so only its solution
   // registers the VMAs with the tracker and counts accesses into it.
   const ExperimentConfig config = TinyConfig();
-  for (SolutionKind kind :
-       {SolutionKind::kFirstTouch, SolutionKind::kHmc, SolutionKind::kVanillaTieredAutoNuma,
-        SolutionKind::kTieredAutoNuma, SolutionKind::kAutoTiering, SolutionKind::kHemem,
-        SolutionKind::kMtm, SolutionKind::kThermostatProfilerMtmMigration,
-        SolutionKind::kAutoNumaProfilerMtmMigration}) {
+  for (const SolutionInfo& row : AllSolutions()) {
+    const SolutionKind kind = row.kind;
     SCOPED_TRACE(SolutionKindName(kind));
     std::unique_ptr<Workload> workload =
         MakeWorkload("gups", config.sim_scale, config.num_threads, config.seed);

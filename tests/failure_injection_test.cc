@@ -122,8 +122,7 @@ TEST(PressureTest, WorkloadLargerThanFastTiersRuns) {
   ExperimentConfig config;
   config.sim_scale = 2048;  // GUPS at 256 MiB vs 48+48 MiB DRAM
   config.num_intervals = 8;
-  for (SolutionKind kind : {SolutionKind::kFirstTouch, SolutionKind::kTieredAutoNuma,
-                            SolutionKind::kAutoTiering, SolutionKind::kMtm}) {
+  for (SolutionKind kind : Figure4Solutions()) {
     RunResult r = RunExperiment("gups", kind, config);
     EXPECT_GT(r.total_accesses, 0u) << SolutionKindName(kind);
     Bytes dram;

@@ -1,8 +1,7 @@
 // Tests for the policy-as-plugin API: the FeatureVector stage, the policy
-// registry, the FeaturePolicy adapter, and the export surfaces. The
-// differential tests pin the PR's key invariant: the registry-constructed
-// mtm policy AND the feature-driven WHI scorer reproduce the pre-refactor
-// goldens byte for byte.
+// registry, FeaturePolicy, and the export surfaces. The differential tests
+// pin the key invariant: the registry-constructed mtm policy AND a
+// feature-driven WHI scorer reproduce the goldens byte for byte.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -40,40 +39,45 @@ std::string ReadGolden(const std::string& name) {
   return out.str();
 }
 
+// The WHI passthrough scorer: through FeaturePolicy (BuildFeatures ->
+// Score -> DecideByScore) it must decide exactly what MtmPolicy decides
+// under the same params, the proof that the feature path adds no decision
+// drift.
+class WhiScorePolicy : public FeaturePolicy {
+ public:
+  using FeaturePolicy::FeaturePolicy;
+  double Score(const FeatureVector& features) const override { return features.x[kFeatWhi]; }
+};
+
+constexpr char kWhiScorerKey[] = "test-whi-scorer";
+
+void RegisterWhiScorer() {
+  RegisterPolicy(kWhiScorerKey, [](const PolicyParams& params) -> std::unique_ptr<TieringPolicy> {
+    return std::make_unique<WhiScorePolicy>(params);
+  });
+}
+
 TEST(PolicyRegistryTest, KnowsAllShippedPolicies) {
+  // Sorted, as KnownPolicyNames() returns them.
+  const std::vector<std::string> kShipped = {
+      "autonuma", "autotiering", "hemem", "logistic", "mtm", "none", "vanilla-autonuma"};
+  EXPECT_EQ(KnownPolicyNames(), kShipped);
   PolicyParams params;
   params.promote_batch_bytes = MiB(2);
-  const struct {
-    const char* registered;
-    const char* reported;
-  } kExpected[] = {
-      {"none", "none"},
-      {"mtm", "mtm-policy"},
-      {"mtm-policy", "mtm-policy"},
-      {"autonuma", "tiered-autonuma"},
-      {"tiered-autonuma", "tiered-autonuma"},
-      {"vanilla-autonuma", "vanilla-tiered-autonuma"},
-      {"vanilla-tiered-autonuma", "vanilla-tiered-autonuma"},
-      {"autotiering", "autotiering"},
-      {"hemem", "hemem"},
-      {"mtm-feature", "mtm-feature"},
-      {"logistic", "logistic"},
-  };
-  for (const auto& expected : kExpected) {
-    EXPECT_TRUE(IsKnownPolicy(expected.registered)) << expected.registered;
-    std::unique_ptr<TieringPolicy> policy = MakePolicy(expected.registered, params);
-    ASSERT_NE(policy, nullptr) << expected.registered;
-    EXPECT_EQ(policy->name(), expected.reported);
+  for (const std::string& name : kShipped) {
+    EXPECT_TRUE(IsKnownPolicy(name)) << name;
+    EXPECT_NE(MakePolicy(name, params), nullptr) << name;
   }
-  EXPECT_FALSE(IsKnownPolicy("nope"));
-  EXPECT_EQ(MakePolicy("nope", params), nullptr);
-  EXPECT_GE(KnownPolicyNames().size(), 11u);
+  for (const char* gone : {"mtm-feature", "mtm-policy", "tiered-autonuma",
+                           "vanilla-tiered-autonuma", "nope"}) {
+    EXPECT_FALSE(IsKnownPolicy(gone)) << gone;
+    EXPECT_EQ(MakePolicy(gone, params), nullptr) << gone;
+  }
 }
 
 TEST(PolicyRegistryTest, RegisterPolicyAddsPlugin) {
   class EchoPolicy : public TieringPolicy {
    public:
-    std::string name() const override { return "echo"; }
     std::vector<MigrationOrder> Decide(const ProfileOutput&, PolicyContext&) override {
       return {};
     }
@@ -81,11 +85,12 @@ TEST(PolicyRegistryTest, RegisterPolicyAddsPlugin) {
   RegisterPolicy("test-echo", [](const PolicyParams&) -> std::unique_ptr<TieringPolicy> {
     return std::make_unique<EchoPolicy>();
   });
+  EXPECT_TRUE(IsKnownPolicy("test-echo"));
   PolicyParams params;
   params.promote_batch_bytes = MiB(2);
   std::unique_ptr<TieringPolicy> policy = MakePolicy("test-echo", params);
   ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->name(), "echo");
+  EXPECT_NE(dynamic_cast<EchoPolicy*>(policy.get()), nullptr);
 }
 
 class FeaturesTest : public ::testing::Test {
@@ -175,11 +180,9 @@ TEST_F(FeaturesTest, MtmScorePolicyMatchesMtmPolicyDecisions) {
   for (int i = 0; i < 6; ++i) {
     entries.push_back(MakeRegion(MiB(2), t3, 3.0 - 0.4 * i));
   }
-  MtmPolicy::Config config;
-  config.promote_batch_bytes = MiB(6);
-  config.hotness_max = 3.0;
-  MtmPolicy heuristic(config);
-  FeatureDrivenPolicy feature_driven(std::make_unique<MtmScorePolicy>(config));
+  const PolicyParams params{.promote_batch_bytes = MiB(6), .hotness_max = 3.0};
+  MtmPolicy heuristic(params);
+  WhiScorePolicy feature_driven(params);
   std::vector<MigrationOrder> expected = heuristic.Decide(Wrap(entries), ctx_);
   std::vector<MigrationOrder> actual = feature_driven.Decide(Wrap(entries), ctx_);
   ASSERT_FALSE(expected.empty());
@@ -258,15 +261,16 @@ TEST(PolicyDifferentialTest, RegistryMtmOverrideMatchesGoldens) {
 }
 
 TEST(PolicyDifferentialTest, FeatureDrivenMtmMatchesGoldens) {
-  // The feature path (BuildFeatures -> MtmScorePolicy -> DecideByScore)
-  // must make the exact decisions of the heuristic: metrics and trace are
+  // The feature path (BuildFeatures -> WHI scorer -> DecideByScore) must
+  // make the exact decisions of the heuristic: metrics and trace are
   // byte-identical, and the report differs only by the gated policy
   // identity field.
-  DifferentialArtifacts artifacts = RunGupsMtm("mtm-feature");
+  RegisterWhiScorer();
+  DifferentialArtifacts artifacts = RunGupsMtm(kWhiScorerKey);
   EXPECT_EQ(artifacts.metrics_jsonl, ReadGolden("scan_gups_metrics.jsonl"));
   EXPECT_EQ(artifacts.trace_json, ReadGolden("scan_gups_trace.json"));
   std::string report = artifacts.report_json;
-  const std::string policy_field = "\"policy\":\"mtm-feature\",";
+  const std::string policy_field = "\"policy\":\"" + std::string(kWhiScorerKey) + "\",";
   std::size_t at = report.find(policy_field);
   ASSERT_NE(at, std::string::npos);
   report.erase(at, policy_field.size());

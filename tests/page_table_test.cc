@@ -66,6 +66,26 @@ TEST(PageTableTest, DoubleMapRejected) {
   EXPECT_FALSE(pt.MapRange(kBase + kHugePageSize, kPageBytes, ComponentId(1), false).ok());
 }
 
+TEST(PageTableTest, FailedMapRangeMapsNothing) {
+  // A conflict in the middle of the range rolls back the pages before it:
+  // the map is all or nothing, counters included.
+  PageTable pt;
+  ASSERT_TRUE(pt.MapRange(kBase + kPageSize, kPageBytes, ComponentId(1), false).ok());
+  EXPECT_EQ(pt.MapRange(kBase, 2 * kPageBytes, ComponentId(0), false).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(pt.Find(kBase), nullptr);
+  EXPECT_EQ(pt.Find(kBase + kPageSize)->component, ComponentId(1));
+  EXPECT_EQ(pt.mapped_base_pages(), 1u);
+  EXPECT_EQ(pt.mapped_bytes(), kPageBytes);
+  // The same for huge pages over a mapped second chunk.
+  ASSERT_TRUE(pt.MapRange(kBase + 3 * kHugePageSize, kHugePageBytes, ComponentId(1), true).ok());
+  EXPECT_EQ(pt.MapRange(kBase + 2 * kHugePageSize, 2 * kHugePageBytes, ComponentId(0), true).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(pt.Find(kBase + 2 * kHugePageSize), nullptr);
+  EXPECT_EQ(pt.mapped_huge_pages(), 1u);
+  EXPECT_EQ(pt.mapped_bytes(), kPageBytes + kHugePageBytes);
+}
+
 TEST(PageTableTest, UnmapRange) {
   PageTable pt;
   ASSERT_TRUE(pt.MapRange(kBase, 8 * kPageBytes, ComponentId(0), false).ok());
@@ -205,10 +225,19 @@ TEST(PageTableTest, GenerationBumpsOnStructuralChange) {
 }
 
 TEST(PageTableTest, PageTablePagesGrow) {
+  // The table grows with what it maps: after an 8 MiB base-page map the
+  // mapped counters cover it and every 2 MiB chunk resolves.
   PageTable pt;
-  u64 before = pt.page_table_pages();
   ASSERT_TRUE(pt.MapRange(kBase, MiB(8), ComponentId(0), false).ok());
-  EXPECT_GT(pt.page_table_pages(), before);
+  EXPECT_EQ(pt.mapped_base_pages(), MiB(8) / kPageBytes);
+  EXPECT_EQ(pt.mapped_bytes(), MiB(8));
+  for (VirtAddr chunk = kBase; chunk < kBase + MiB(8); chunk += kHugePageSize) {
+    Bytes size;
+    const Pte* pte = pt.Find(chunk + kHugePageSize - kPageSize, &size);
+    ASSERT_NE(pte, nullptr);
+    EXPECT_EQ(size, kPageBytes);
+    EXPECT_EQ(pte->component, ComponentId(0));
+  }
 }
 
 TEST(PageTableTest, ScanCostOfLargeTable) {

@@ -61,7 +61,7 @@ class PolicyTest : public ::testing::Test {
 TEST_F(PolicyTest, MtmPromotesHottestToFastestTier) {
   HotnessEntry hot = MakeRegion(MiB(2), t3_, 3.0);
   HotnessEntry cold = MakeRegion(MiB(2), t3_, 0.1);
-  MtmPolicy policy({.promote_batch_bytes = MiB(2)});
+  MtmPolicy policy({.promote_batch_bytes = MiB(2), .hotness_max = 3.0});
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({cold, hot}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].start, hot.start);
@@ -73,7 +73,7 @@ TEST_F(PolicyTest, MtmRespectsBudget) {
   for (int i = 0; i < 8; ++i) {
     entries.push_back(MakeRegion(MiB(2), t3_, 3.0 - i * 0.1));
   }
-  MtmPolicy policy({.promote_batch_bytes = MiB(4)});
+  MtmPolicy policy({.promote_batch_bytes = MiB(4), .hotness_max = 3.0});
   std::vector<MigrationOrder> orders = policy.Decide(Wrap(entries), ctx_);
   Bytes promoted;
   for (const auto& o : orders) {
@@ -87,7 +87,7 @@ TEST_F(PolicyTest, MtmDirectPromotionFromLowestTier) {
   // Fast promotion (§6.2): tier 4 pages go straight to tier 1, no
   // tier-by-tier staging.
   HotnessEntry hot = MakeRegion(MiB(2), t4_, 3.0);
-  MtmPolicy policy({.promote_batch_bytes = MiB(2)});
+  MtmPolicy policy({.promote_batch_bytes = MiB(2), .hotness_max = 3.0});
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({hot}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].dst, t1_);
@@ -99,7 +99,7 @@ TEST_F(PolicyTest, MtmSlowDemotionMakesRoom) {
   // demotion order precedes the promotion.
   HotnessEntry resident = MakeRegion(frames_.capacity(t1_), t1_, 0.2);
   HotnessEntry hot = MakeRegion(MiB(2), t3_, 3.0);
-  MtmPolicy policy({.promote_batch_bytes = MiB(2)});
+  MtmPolicy policy({.promote_batch_bytes = MiB(2), .hotness_max = 3.0});
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({resident, hot}), ctx_);
   ASSERT_GE(orders.size(), 2u);
   // First a demotion of the cold resident to a slower class...
@@ -115,7 +115,7 @@ TEST_F(PolicyTest, MtmNeverDemotesHotterVictims) {
   // next tier instead ("2nd highest bucket to the 2nd-fastest tier").
   HotnessEntry resident = MakeRegion(frames_.capacity(t1_), t1_, 3.0);
   HotnessEntry warm = MakeRegion(MiB(2), t3_, 2.0);
-  MtmPolicy policy({.promote_batch_bytes = MiB(2)});
+  MtmPolicy policy({.promote_batch_bytes = MiB(2), .hotness_max = 3.0});
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({resident, warm}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].start, warm.start);
@@ -124,7 +124,7 @@ TEST_F(PolicyTest, MtmNeverDemotesHotterVictims) {
 
 TEST_F(PolicyTest, MtmSkipsStoneColdRegions) {
   HotnessEntry cold = MakeRegion(MiB(2), t3_, 0.0);
-  MtmPolicy policy({.promote_batch_bytes = MiB(2)});
+  MtmPolicy policy({.promote_batch_bytes = MiB(2), .hotness_max = 3.0});
   EXPECT_TRUE(policy.Decide(Wrap({cold}), ctx_).empty());
 }
 
@@ -132,7 +132,7 @@ TEST_F(PolicyTest, MtmUsesPreferredSocketView) {
   // A region whose accesses come from socket 1 promotes to socket 1's
   // fastest tier (§6.2 multi-view).
   HotnessEntry hot = MakeRegion(MiB(2), t4_, 3.0, /*socket=*/1);
-  MtmPolicy policy({.promote_batch_bytes = MiB(2)});
+  MtmPolicy policy({.promote_batch_bytes = MiB(2), .hotness_max = 3.0});
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({hot}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].dst, machine_.TierOrder(1)[0]);
@@ -146,7 +146,7 @@ TEST_F(PolicyTest, MtmPartialPromotionTargetsSlowSlice) {
   });
   frames_.Release(t3_, MiB(2));
   ASSERT_TRUE(frames_.Reserve(t1_, MiB(2)).ok());
-  MtmPolicy policy({.promote_batch_bytes = MiB(2)});
+  MtmPolicy policy({.promote_batch_bytes = MiB(2), .hotness_max = 3.0});
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({hot}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].start, hot.start + MiB(2).value());
@@ -165,7 +165,7 @@ TEST_F(PolicyTest, MtmAdaptiveHotnessScale) {
 TEST_F(PolicyTest, AutoNumaPromotesPmToLocalDramOnly) {
   // Kernel-style one-step move: PM page -> the DRAM of its own socket.
   HotnessEntry page = MakeRegion(kPageBytes, t4_, 2.0);  // PM1, home socket 1
-  AutoNumaPolicy policy({.promote_batch_bytes = MiB(2), .patched = true});
+  AutoNumaPolicy policy({.promote_batch_bytes = MiB(2)}, /*patched=*/true);
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({page}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].dst, machine_.TierOrder(1)[0]);  // DRAM1, not DRAM0
@@ -173,7 +173,7 @@ TEST_F(PolicyTest, AutoNumaPromotesPmToLocalDramOnly) {
 
 TEST_F(PolicyTest, AutoNumaRebalancesRemoteDram) {
   HotnessEntry page = MakeRegion(kPageBytes, t2_, 2.0, /*socket=*/0);  // DRAM1
-  AutoNumaPolicy policy({.promote_batch_bytes = MiB(2), .patched = true});
+  AutoNumaPolicy policy({.promote_batch_bytes = MiB(2)}, /*patched=*/true);
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({page}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].dst, t1_);
@@ -182,7 +182,7 @@ TEST_F(PolicyTest, AutoNumaRebalancesRemoteDram) {
 TEST_F(PolicyTest, AutoNumaPatchedRanksByFaults) {
   HotnessEntry cold = MakeRegion(kPageBytes, t3_, 1.0);
   HotnessEntry hot = MakeRegion(kPageBytes, t3_, 9.0);
-  AutoNumaPolicy policy({.promote_batch_bytes = kPageBytes, .patched = true});
+  AutoNumaPolicy policy({.promote_batch_bytes = kPageBytes}, /*patched=*/true);
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({cold, hot}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].start, hot.start);
@@ -191,7 +191,7 @@ TEST_F(PolicyTest, AutoNumaPatchedRanksByFaults) {
 TEST_F(PolicyTest, AutoNumaVanillaTakesArrivalOrder) {
   HotnessEntry first = MakeRegion(kPageBytes, t3_, 1.0);
   HotnessEntry second = MakeRegion(kPageBytes, t3_, 9.0);
-  AutoNumaPolicy policy({.promote_batch_bytes = kPageBytes, .patched = false});
+  AutoNumaPolicy policy({.promote_batch_bytes = kPageBytes}, /*patched=*/false);
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({first, second}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].start, first.start);
@@ -219,7 +219,7 @@ TEST_F(PolicyTest, AutoTieringFallsBackToFullTier) {
 TEST_F(PolicyTest, HememPromotesAboveThreshold) {
   HotnessEntry hot = MakeRegion(kPageBytes, t3_, 5.0);
   HotnessEntry cool = MakeRegion(kPageBytes, t3_, 1.0);
-  HememPolicy policy({.promote_batch_bytes = MiB(2), .hot_threshold = 2.0});
+  HememPolicy policy({.promote_batch_bytes = MiB(2)});
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({hot, cool}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].start, hot.start);

@@ -33,8 +33,8 @@
 //   --admission-budget-mb=N  bandwidth budget per interval
 //                       (0 = the promote batch N)                     [0]
 //   --policy=NAME       override the solution's tiering policy with any
-//                       registered one: none|mtm|mtm-feature|logistic|
-//                       autonuma|vanilla-autonuma|autotiering|hemem  [default]
+//                       registered one: none|mtm|logistic|autonuma|
+//                       vanilla-autonuma|autotiering|hemem            [default]
 //   --policy-features-out=PATH  per-region training rows (JSONL):
 //                       features + policy action + next-interval label [off]
 //   --heatmap-out=PATH  per-interval region hotness heatmap (JSONL)   [off]
@@ -54,7 +54,8 @@
 // Every argv error exits with status 2 before anything runs, after mtmsim
 // prints it: an unknown flag, a malformed number (--alpha=abc, --seed=-1),
 // or an unknown --workload, --solution, --admission, --policy or --format
-// name, or an unparsable --fault_spec.
+// name, or a --fault_spec that does not parse or names a component the
+// machine lacks (c=0..3, or c=0..1 with --two-tier).
 #include <cstdio>
 #include <string>
 
@@ -71,6 +72,7 @@
 #include "src/migration/mechanism.h"
 #include "src/migration/policy_registry.h"
 #include "src/obs/obs.h"
+#include "src/sim/machine.h"
 #include "src/workloads/workload_factory.h"
 
 int main(int argc, char** argv) {
@@ -97,8 +99,7 @@ int main(int argc, char** argv) {
   }
   std::string admission_name = flags.GetString("admission", "vanilla");
   if (!mtm::AdmissionKindFromName(admission_name, &config.mtm.admission)) {
-    std::fprintf(stderr, "bad --admission: %s (want vanilla|ppt|bandwidth)\n",
-                 admission_name.c_str());
+    std::fprintf(stderr, "bad --admission: %s (see --help)\n", admission_name.c_str());
     return 2;
   }
   config.mtm.admission_budget_bytes = mtm::MiB(flags.GetU64("admission-budget-mb", 0));
@@ -120,6 +121,16 @@ int main(int argc, char** argv) {
     if (!parsed.ok()) {
       std::fprintf(stderr, "bad --fault_spec: %s\n", parsed.status().ToString().c_str());
       return 2;
+    }
+    const mtm::u32 components = (config.two_tier ? mtm::Machine::TwoTier(config.sim_scale)
+                                                 : mtm::Machine::OptaneFourTier(config.sim_scale))
+                                    .num_components();
+    for (const mtm::TierFaultEvent& event : parsed.value().schedule()) {
+      if (event.component.value() >= components) {
+        std::fprintf(stderr, "bad --fault_spec: component %u does not exist (the machine has %u)\n",
+                     event.component.value(), components);
+        return 2;
+      }
     }
   }
 
