@@ -1,11 +1,12 @@
 // Minimal command-line flag parsing for the tools: --key=value and --key
 // boolean forms. No global registry; call sites query by name. The set
 // remembers which names were queried and which numeric values failed to
-// parse, so a tool can reject what it did not understand (Check).
+// parse or fit, so a tool can reject what it did not understand (Check).
 #pragma once
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -64,6 +65,17 @@ class FlagSet {
     return Parsed(name, *v, end) ? parsed : fallback;
   }
 
+  // GetU64 for a value stored in 32 bits: one that does not fit is an
+  // error for Check, not a silent truncation.
+  u32 GetU32(const std::string& name, u32 fallback) {
+    const u64 parsed = GetU64(name, fallback);
+    if (parsed > std::numeric_limits<u32>::max()) {
+      invalid_.push_back("out of range: --" + name + "=" + *Get(name));
+      return fallback;
+    }
+    return static_cast<u32>(parsed);
+  }
+
   double GetDouble(const std::string& name, double fallback) {
     auto v = Get(name);
     if (!v) {
@@ -85,15 +97,15 @@ class FlagSet {
   const std::vector<std::string>& positional() const { return positional_; }
 
   // Fails on the first flag no getter asked for and on the first numeric
-  // value that did not parse. Call after the last query.
+  // value that did not parse or fit. Call after the last query.
   Status Check() const {
     for (const auto& [key, value] : flags_) {
       if (queried_.count(key) == 0) {
         return InvalidArgumentError("unknown flag --" + key);
       }
     }
-    if (!malformed_.empty()) {
-      return InvalidArgumentError("not a number: " + malformed_.front());
+    if (!invalid_.empty()) {
+      return InvalidArgumentError(invalid_.front());
     }
     return OkStatus();
   }
@@ -105,14 +117,14 @@ class FlagSet {
     if (!value.empty() && *end == '\0') {
       return true;
     }
-    malformed_.push_back("--" + name + "=" + value);
+    invalid_.push_back("not a number: --" + name + "=" + value);
     return false;
   }
 
   std::vector<std::pair<std::string, std::string>> flags_;
   std::vector<std::string> positional_;
   std::set<std::string> queried_;
-  std::vector<std::string> malformed_;
+  std::vector<std::string> invalid_;  // one message per bad numeric value
 };
 
 }  // namespace mtm

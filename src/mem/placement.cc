@@ -75,10 +75,9 @@ ComponentId PlacementFaultHandler::HandlePageFault(VirtAddr addr, u32 socket, bo
     if (huge_start < vma->start || huge_start + kHugePageSize > vma->end()) {
       want_huge = false;
     } else {
-      bool any_mapped = false;
-      page_table_.ForEachMapping(huge_start, kHugePageBytes,
-                                 [&](VirtAddr, Bytes, const Pte&) { any_mapped = true; });
-      if (any_mapped) {
+      const VirtAddr first_mapped = page_table_.FindMapping(
+          huge_start, kHugePageBytes, [](VirtAddr, Bytes, Pte&) { return true; });
+      if (!first_mapped.IsZero()) {
         want_huge = false;
       }
     }

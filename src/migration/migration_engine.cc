@@ -772,6 +772,9 @@ Bytes MigrationEngine::DrainComponent(ComponentId component) {
   // The drain is a synchronous kernel sweep, like reclaim demotion.
   const MechanismKind k =
       kind_ == MechanismKind::kMoveMemoryRegions ? MechanismKind::kMmrSync : kind_;
+  // Bitmask of targets whose reclaim already failed this drain: each reclaim
+  // rescans the whole address space, and draining only adds pages to them.
+  u32 reclaim_hopeless = 0;
   for (const Vma& vma : address_space_.vmas()) {
     page_table_.ForEachMapping(vma.start, vma.len, [&](VirtAddr, Bytes size, Pte& pte) {
       if (pte.component != component) {
@@ -781,8 +784,12 @@ Bytes MigrationEngine::DrainComponent(ComponentId component) {
         if (machine_.IsOffline(dst)) {
           continue;
         }
-        if (frames_.free_bytes(dst) < size && !ReclaimFrom(dst, size, /*depth=*/0)) {
-          continue;
+        if (frames_.free_bytes(dst) < size) {
+          if ((reclaim_hopeless & (1u << dst.value())) != 0 ||
+              !ReclaimFrom(dst, size, /*depth=*/0)) {
+            reclaim_hopeless |= 1u << dst.value();
+            continue;
+          }
         }
         if (!frames_.Reserve(dst, size).ok()) {
           continue;

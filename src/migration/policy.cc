@@ -1,7 +1,6 @@
 #include "src/migration/policy.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
@@ -36,12 +35,10 @@ ComponentId ComponentOf(PolicyContext& ctx, const HotnessEntry& e) {
 // instead of re-targeting already-moved pages.
 std::pair<VirtAddr, Bytes> SliceOn(PolicyContext& ctx, const HotnessEntry& e,
                                    ComponentId component, Bytes max_len) {
-  VirtAddr found;
-  ctx.page_table->ForEachMapping(e.start, e.len, [&](VirtAddr addr, Bytes, Pte& pte) {
-    if (found.IsZero() && pte.component == component) {
-      found = addr;
-    }
-  });
+  const VirtAddr found =
+      ctx.page_table->FindMapping(e.start, e.len, [component](VirtAddr, Bytes, Pte& pte) {
+        return pte.component == component;
+      });
   if (found.IsZero()) {
     return {VirtAddr{}, Bytes{}};
   }
@@ -55,14 +52,15 @@ std::pair<VirtAddr, Bytes> SliceOn(PolicyContext& ctx, const HotnessEntry& e,
 std::pair<VirtAddr, ComponentId> SlowestSliceStart(PolicyContext& ctx, const HotnessEntry& e,
                                                    u32 socket, TierId min_rank) {
   const Machine& machine = *ctx.machine;
-  VirtAddr found;
   ComponentId comp = kInvalidComponent;
-  ctx.page_table->ForEachMapping(e.start, e.len, [&](VirtAddr addr, Bytes, Pte& pte) {
-    if (found.IsZero() && machine.TierRank(socket, pte.component) > min_rank) {
-      found = addr;
-      comp = pte.component;
-    }
-  });
+  const VirtAddr found =
+      ctx.page_table->FindMapping(e.start, e.len, [&](VirtAddr, Bytes, Pte& pte) {
+        if (machine.TierRank(socket, pte.component) <= min_rank) {
+          return false;
+        }
+        comp = pte.component;
+        return true;
+      });
   return {found, comp};
 }
 
@@ -100,11 +98,8 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
       return {};
     }
   }
-  BucketedHistogram<std::size_t> hist(0.0, hotness_max, kNumBuckets);
-  for (std::size_t i = 0; i < profile.entries.size(); ++i) {
-    hist.Update(i, scores[i]);
-  }
-  std::vector<std::size_t> hottest = hist.HottestFirst();
+  const BucketOrders by_bucket = OrderByBucket(scores, 0.0, hotness_max, kNumBuckets);
+  const std::vector<std::size_t>& hottest = by_bucket.hottest;
 
   // Planned free space per component, adjusted as orders accumulate.
   IdMap<ComponentId, i64> planned_free(machine.num_components());
@@ -112,8 +107,8 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
     planned_free[c] = static_cast<i64>(ctx.frames->free_bytes(c).value());
   }
   // Demotion candidates, coldest first.
-  std::vector<std::size_t> coldest = hist.ColdestFirst();
-  std::unordered_set<std::size_t> planned;  // entries already part of an order
+  const std::vector<std::size_t>& coldest = by_bucket.coldest;
+  std::vector<bool> planned(profile.entries.size());  // entries already part of an order
 
   // Tries to free `need` bytes on dst by demoting colder-than-`score`
   // resident entries one tier down ("slow demotion"). Appends demotion
@@ -130,7 +125,7 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
       if (planned_free[dst] >= need) {
         break;
       }
-      if (planned.count(idx) > 0) {
+      if (planned[idx]) {
         continue;
       }
       const HotnessEntry& victim = profile.entries[idx];
@@ -160,7 +155,7 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
         }
         if (planned_free[lower] >= static_cast<i64>(demote_len.value())) {
           orders.push_back(MigrationOrder{slice_start, demote_len, lower, home, scores[idx]});
-          planned.insert(idx);
+          planned[idx] = true;
           planned_free[lower] -= static_cast<i64>(demote_len.value());
           planned_free[dst] += static_cast<i64>(demote_len.value());
           break;
@@ -176,7 +171,7 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
       break;
     }
     const HotnessEntry& e = profile.entries[idx];
-    if (scores[idx] < kMinHotness || planned.count(idx) > 0) {
+    if (scores[idx] < kMinHotness || planned[idx]) {
       continue;
     }
     u32 socket = e.preferred_socket;
@@ -210,7 +205,7 @@ std::vector<MigrationOrder> DecideByScore(const ProfileOutput& profile,
         continue;
       }
       orders.push_back(MigrationOrder{slice_start, promote_len, dst, socket, scores[idx]});
-      planned.insert(idx);
+      planned[idx] = true;
       planned_free[dst] -= static_cast<i64>(promote_len.value());
       planned_free[cur] += static_cast<i64>(promote_len.value());
       budget -= static_cast<i64>(promote_len.value());

@@ -81,13 +81,20 @@ void MtmProfiler::SelectSamples() {
   const u64 num_ps = NumPageSamples();
   u64 used = 0;
 
+  // Only last interval's listed regions hold samples. A merge may have
+  // erased one; a merge product or a left split half keeps its start (and
+  // its samples), and a right split half starts with none.
+  for (VirtAddr start : sampled_starts_) {
+    if (auto it = regions_.Find(start); it != regions_.end()) {
+      it->second.sampled_pages.clear();
+      it->second.sample_hits.clear();
+    }
+  }
+  sampled_starts_.clear();
+
   for (auto& [start, region] : regions_) {
-    region.sampled_pages.clear();
-    region.sample_hits.clear();
-    // The budget test comes first: it is free, and once the budget is spent
-    // both tests skip the region alike, so no page-table probe is wasted.
     if (used >= num_ps) {
-      continue;  // over budget: overhead control will merge regions down
+      break;  // over budget: overhead control will merge regions down
     }
     if (pebs_ != nullptr && IsSlowTierRegion(region)) {
       continue;  // nominated lazily by the PEBS window
@@ -112,6 +119,7 @@ void MtmProfiler::SelectSamples() {
       region.sampled_pages.push_back(region.start + PagesToBytes(page));
       region.sample_hits.push_back(0);
     }
+    sampled_starts_.push_back(start);
     used += quota;
   }
   // Prime: clear any stale accessed bit so the first scan measures this
@@ -142,10 +150,14 @@ void MtmProfiler::NominateFromPebs() {
     }
     // No priming here: the PEBS event itself proves this page was accessed
     // this interval, so the first scan's accessed bit is evidence.
+    if (region.sampled_pages.empty()) {
+      sampled_starts_.push_back(region.start);
+    }
     region.sampled_pages.push_back(PageAlignDown(s.addr));
     region.sample_hits.push_back(0);
     pebs_nominations_.push_back(s.addr);
   }
+  std::sort(sampled_starts_.begin(), sampled_starts_.end());
   if (metrics_ != nullptr) {
     metrics_->Add(metrics_->Counter("profiler/pebs_samples_drained"), samples.size());
     metrics_->Add(metrics_->Counter("profiler/pebs_nominations"), pebs_nominations_.size());
@@ -158,7 +170,12 @@ void MtmProfiler::ScanSampledPages(ScanMode mode) {
   const u64 hint_base = scans_since_hint_;
   const u64 hint_period = config_.hint_fault_period;
   u64 scanned = 0;  // 1-based global scan index after each increment
-  for (auto& [start, region] : regions_) {
+  for (VirtAddr start : sampled_starts_) {
+    auto it = regions_.Find(start);
+    if (it == regions_.end()) {
+      continue;  // merged away since it was sampled: its samples went with it
+    }
+    Region& region = it->second;
     for (std::size_t i = 0; i < region.sampled_pages.size(); ++i) {
       bool accessed = false;
       const bool mapped = page_table_.ScanAccessed(region.sampled_pages[i], &accessed);
@@ -207,13 +224,44 @@ void MtmProfiler::UpdateSocketAttribution() {
   }
 }
 
+void MtmProfiler::UpdateHotness(Region& region) {
+  region.prev_hi = region.hi;
+  if (!region.sampled_pages.empty()) {
+    double sum = 0.0;
+    for (u32 hits : region.sample_hits) {
+      sum += static_cast<double>(hits);
+    }
+    region.hi = sum / static_cast<double>(region.sampled_pages.size());
+  } else {
+    // Unprofiled slow-tier region with no PEBS activity: observed cold.
+    region.hi = 0.0;
+  }
+  if (region.whi_initialized) {
+    region.whi = config_.alpha * region.hi + (1.0 - config_.alpha) * region.whi;
+  } else {
+    region.whi = region.hi;
+    region.whi_initialized = true;
+  }
+  // Socket-attribution decay so stale views age out.
+  for (u32& hits : region.socket_hits) {
+    hits /= 2;
+  }
+}
+
 void MtmProfiler::MergePass(ProfileOutput& out) {
+  // Each region's hotness is updated just before its first comparison: the
+  // first region here, every other one when it becomes `next`. One walk
+  // thus does both jobs, and every merge sees this interval's HI.
   auto it = regions_.begin();
+  if (it != regions_.end()) {
+    UpdateHotness(it->second);
+  }
   while (it != regions_.end()) {
     auto next = std::next(it);
     if (next == regions_.end()) {
       break;
     }
+    UpdateHotness(next->second);
     Region& a = it->second;
     Region& b = next->second;
     bool adjacent = a.end == b.start;
@@ -272,7 +320,12 @@ void MtmProfiler::MergePass(ProfileOutput& out) {
 
 void MtmProfiler::SplitPass(ProfileOutput& out) {
   std::vector<VirtAddr> to_split;
-  for (auto& [start, region] : regions_) {
+  for (VirtAddr start : sampled_starts_) {
+    auto it = regions_.Find(start);
+    if (it == regions_.end()) {
+      continue;  // merged into its predecessor, which holds none of its samples
+    }
+    const Region& region = it->second;
     if (region.sample_hits.size() < 2) {
       continue;
     }
@@ -315,6 +368,17 @@ void MtmProfiler::RedistributeQuota() {
   // the regions with the largest HI variance across the last two intervals
   // (top-five records, §5.2); excess is reclaimed from the least-varying.
   const u64 num_ps = NumPageSamples();
+  quota_pool_ = 0;  // consumed by the normalization below
+  if (regions_.size() >= num_ps) {
+    // Every quota is at least one, so the excess total - num_ps is at least
+    // total - regions, all the quota above one: reclaiming it from the
+    // least-varying regions first leaves every region at one, whatever the
+    // variance order.
+    for (auto& [start, region] : regions_) {
+      region.sample_quota = 1;
+    }
+    return;
+  }
   u64 total = 0;
   std::vector<Region*> all;
   all.reserve(regions_.size());
@@ -322,7 +386,6 @@ void MtmProfiler::RedistributeQuota() {
     total += region.sample_quota;
     all.push_back(&region);
   }
-  quota_pool_ = 0;  // consumed by the normalization below
 
   if (all.empty()) {
     return;
@@ -365,34 +428,13 @@ ProfileOutput MtmProfiler::OnIntervalEnd() {
   ProfileOutput out;
   UpdateSocketAttribution();
 
-  // HI and WHI updates (§5.1, §6.1).
-  for (auto& [start, region] : regions_) {
-    region.prev_hi = region.hi;
-    if (!region.sampled_pages.empty()) {
-      double sum = 0.0;
-      for (u32 hits : region.sample_hits) {
-        sum += static_cast<double>(hits);
-      }
-      region.hi = sum / static_cast<double>(region.sampled_pages.size());
-    } else {
-      // Unprofiled slow-tier region with no PEBS activity: observed cold.
-      region.hi = 0.0;
-    }
-    if (region.whi_initialized) {
-      region.whi = config_.alpha * region.hi + (1.0 - config_.alpha) * region.whi;
-    } else {
-      region.whi = region.hi;
-      region.whi_initialized = true;
-    }
-    // Socket-attribution decay so stale views age out.
-    for (u32& hits : region.socket_hits) {
-      hits /= 2;
-    }
-  }
-
   if (config_.adaptive_regions) {
-    MergePass(out);
+    MergePass(out);  // updates every region's hotness on the way
     SplitPass(out);
+  } else {
+    for (auto& [start, region] : regions_) {
+      UpdateHotness(region);
+    }
   }
 
   // Overhead control (§5.3): if the region count exceeds the sample budget,

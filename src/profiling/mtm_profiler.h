@@ -104,6 +104,8 @@ class MtmProfiler : public Profiler {
   // Hint faults are armed after the pass, by global scan index.
   void ScanSampledPages(ScanMode mode);
 
+  // HI and WHI updates (§5.1, §6.1) and the socket-attribution decay.
+  void UpdateHotness(Region& region);
   void MergePass(ProfileOutput& out);
   void SplitPass(ProfileOutput& out);
   void RedistributeQuota();
@@ -128,6 +130,11 @@ class MtmProfiler : public Profiler {
   u64 pebs_samples_drained_ = 0;
   bool pebs_window_open_ = false;
   std::vector<VirtAddr> pebs_nominations_;
+  // Start addresses of the regions holding samples this interval, in
+  // address order: the only regions the scan passes, the split pass and the
+  // next interval's sample reset visit, so their cost follows the sample
+  // budget rather than the region count (§5.3).
+  std::vector<VirtAddr> sampled_starts_;
 };
 
 }  // namespace mtm

@@ -70,6 +70,9 @@ class RegionMap {
   // Region containing addr, or end().
   iterator FindContaining(VirtAddr addr);
 
+  // Region starting at `start`, or end().
+  iterator Find(VirtAddr start) { return regions_.find(start); }
+
   // Merges the region at `it` with its successor if they are adjacent.
   // The merged region keeps `it`'s id; sample quotas are combined by the
   // caller. Returns an iterator to the merged region; invalid if the

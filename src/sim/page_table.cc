@@ -209,8 +209,8 @@ bool PageTable::ScanAccessed(VirtAddr addr, bool* accessed_out) {
   return true;
 }
 
-void PageTable::ForEachMapping(VirtAddr start, Bytes len,
-                               const std::function<void(VirtAddr, Bytes, Pte&)>& fn) {
+template <typename Visit>
+VirtAddr PageTable::Walk(VirtAddr start, Bytes len, const Visit& visit) {
   const VirtAddr end = start + len;
   for (auto it = LowerBound(dirs_, start.Shifted(kDirShift)); it != dirs_.end(); ++it) {
     Directory& dir = **it;
@@ -218,12 +218,12 @@ void PageTable::ForEachMapping(VirtAddr start, Bytes len,
     for (u64 c = dir_start < start ? ChunkIndex(start) : 0; c < kChunksPerDir; ++c) {
       const VirtAddr chunk_start = dir_start + c * kHugePageSize;
       if (chunk_start >= end) {
-        return;
+        return VirtAddr{};
       }
       Chunk& chunk = dir.chunks[c];
       if (chunk.huge.present()) {
-        if (chunk_start >= start) {
-          fn(chunk_start, kHugePageBytes, chunk.huge);
+        if (chunk_start >= start && visit(chunk_start, kHugePageBytes, chunk.huge)) {
+          return chunk_start;
         }
         continue;
       }
@@ -235,21 +235,38 @@ void PageTable::ForEachMapping(VirtAddr start, Bytes len,
       for (; p < kPagesPerHugePage; ++p) {
         const VirtAddr page_start = chunk_start + p * kPageSize;
         if (page_start >= end) {
-          return;
+          return VirtAddr{};
         }
-        if (Pte& pte = chunk.leaf->entries[p]; pte.present()) {
-          fn(page_start, kPageBytes, pte);
+        Pte& pte = chunk.leaf->entries[p];
+        if (pte.present() && visit(page_start, kPageBytes, pte)) {
+          return page_start;
         }
       }
     }
   }
+  return VirtAddr{};
+}
+
+VirtAddr PageTable::FindMapping(VirtAddr start, Bytes len,
+                                const std::function<bool(VirtAddr, Bytes, Pte&)>& pred) {
+  return Walk(start, len, pred);
+}
+
+void PageTable::ForEachMapping(VirtAddr start, Bytes len,
+                               const std::function<void(VirtAddr, Bytes, Pte&)>& fn) {
+  Walk(start, len, [&fn](VirtAddr addr, Bytes size, Pte& pte) {
+    fn(addr, size, pte);
+    return false;
+  });
 }
 
 void PageTable::ForEachMapping(
     VirtAddr start, Bytes len,
     const std::function<void(VirtAddr, Bytes, const Pte&)>& fn) const {
-  const_cast<PageTable*>(this)->ForEachMapping(
-      start, len, [&fn](VirtAddr a, Bytes s, Pte& p) { fn(a, s, p); });
+  const_cast<PageTable*>(this)->Walk(start, len, [&fn](VirtAddr addr, Bytes size, Pte& pte) {
+    fn(addr, size, pte);
+    return false;
+  });
 }
 
 u64 PageTable::ArmWriteTracking(VirtAddr start, Bytes len) {

@@ -16,8 +16,8 @@
 // shallowest structure that holds them: a sorted vector of heap-owned 1 GiB
 // directories, each an array of 512 chunks of 2 MiB. A chunk holds either
 // one huge-page entry or a 512-entry leaf of base-page entries. Find indexes
-// at most twice after locating the directory, and ForEachMapping skips
-// absent directories and leaves whole.
+// at most twice after locating the directory, and the range walks
+// (FindMapping, ForEachMapping) skip absent directories and leaves whole.
 #pragma once
 
 #include <array>
@@ -129,9 +129,15 @@ class PageTable {
   u64 ArmWriteTracking(VirtAddr start, Bytes len);
   u64 DisarmWriteTracking(VirtAddr start, Bytes len);
 
+  // Visits the leaf mappings whose start lies in [start, start+len), in
+  // address order, until pred(addr, mapping_size, pte) accepts one, and
+  // returns that mapping's address; 0 when pred accepts none. pred may
+  // change entries but not map, unmap or split.
+  VirtAddr FindMapping(VirtAddr start, Bytes len,
+                       const std::function<bool(VirtAddr, Bytes, Pte&)>& pred);
+
   // Visits every leaf mapping whose start lies in [start, start+len), in
-  // address order. fn(addr, mapping_size, pte). fn may change entries but
-  // not map, unmap or split.
+  // address order: FindMapping with a predicate that accepts none.
   void ForEachMapping(VirtAddr start, Bytes len,
                       const std::function<void(VirtAddr, Bytes, Pte&)>& fn);
   void ForEachMapping(VirtAddr start, Bytes len,
@@ -169,6 +175,10 @@ class PageTable {
   Directory& EnsureDirectory(VirtAddr addr);
 
   Status MapOne(VirtAddr addr, ComponentId component, bool huge);
+
+  // The one leaf walk behind FindMapping and ForEachMapping.
+  template <typename Visit>
+  VirtAddr Walk(VirtAddr start, Bytes len, const Visit& visit);
 
   // Sorted by index; heap-owned so inserting a directory moves no entry.
   std::vector<std::unique_ptr<Directory>> dirs_;

@@ -1,6 +1,7 @@
 #include "src/workloads/workload_factory.h"
 
 #include <array>
+#include <string>
 
 #include "src/common/logging.h"
 #include "src/workloads/cassandra.h"
@@ -35,21 +36,26 @@ std::unique_ptr<Workload> MakeGraph(Params params) {
   return std::make_unique<GraphWorkload>(params, options);
 }
 
-// The one workload name table: MakeWorkload builds from it and
-// IsKnownWorkload checks against it.
+// The one workload name table: MakeWorkload builds from it, IsKnownWorkload
+// checks against it and CheckWorkloadScale bounds the scale with it.
 struct WorkloadEntry {
   const char* name;
-  Bytes footprint;  // at scale 1
+  Bytes footprint;      // at scale 1
+  Bytes min_footprint;  // the smallest the workload's layout is built for
   std::unique_ptr<Workload> (*make)(Params);
 };
+// Minimum footprints: gups and pingpong need more than 4 huge pages, voltdb
+// more than 8; cassandra a huge page of rows beside its 2 MiB memtable and
+// commit log; spark a huge page of output, a fifth of the footprint; a
+// graph 17 vertices of 512 B.
 constexpr std::array<WorkloadEntry, 7> kWorkloads = {{
-    {"gups", kGupsFootprint, MakeGups},
-    {"voltdb", kVoltDbFootprint, Make<VoltDbWorkload>},
-    {"cassandra", kCassandraFootprint, Make<CassandraWorkload>},
-    {"bfs", kGraphFootprint, MakeGraph<GraphWorkload::Algorithm::kBfs>},
-    {"sssp", kGraphFootprint, MakeGraph<GraphWorkload::Algorithm::kSssp>},
-    {"spark", kSparkFootprint, Make<SparkTeraSortWorkload>},
-    {"pingpong", kPingPongFootprint, Make<PingPongWorkload>},
+    {"gups", kGupsFootprint, 4 * kHugePageBytes + Bytes(1), MakeGups},
+    {"voltdb", kVoltDbFootprint, 8 * kHugePageBytes + Bytes(1), Make<VoltDbWorkload>},
+    {"cassandra", kCassandraFootprint, 3 * kHugePageBytes, Make<CassandraWorkload>},
+    {"bfs", kGraphFootprint, Bytes(17 * 512), MakeGraph<GraphWorkload::Algorithm::kBfs>},
+    {"sssp", kGraphFootprint, Bytes(17 * 512), MakeGraph<GraphWorkload::Algorithm::kSssp>},
+    {"spark", kSparkFootprint, 5 * kHugePageBytes, Make<SparkTeraSortWorkload>},
+    {"pingpong", kPingPongFootprint, 4 * kHugePageBytes + Bytes(1), Make<PingPongWorkload>},
 }};
 
 const WorkloadEntry* FindWorkload(const std::string& name) {
@@ -76,6 +82,20 @@ std::unique_ptr<Workload> MakeWorkload(const std::string& name, u64 sim_scale,
 }
 
 bool IsKnownWorkload(const std::string& name) { return FindWorkload(name) != nullptr; }
+
+Status CheckWorkloadScale(const std::string& name, u64 sim_scale) {
+  const WorkloadEntry* entry = FindWorkload(name);
+  MTM_CHECK(entry != nullptr) << "unknown workload: " << name;
+  // footprint / scale >= min holds exactly for scale <= footprint / min.
+  const u64 max_scale = entry->footprint / entry->min_footprint;
+  if (sim_scale == 0 || sim_scale > max_scale) {
+    return InvalidArgumentError("scale " + std::to_string(sim_scale) + " is out of range for " +
+                                name + ": its " + std::to_string(entry->min_footprint.value()) +
+                                "-byte minimum footprint allows scales 1 to " +
+                                std::to_string(max_scale));
+  }
+  return OkStatus();
+}
 
 std::vector<std::string> AllWorkloadNames() {
   return {"gups", "voltdb", "cassandra", "bfs", "sssp", "spark"};

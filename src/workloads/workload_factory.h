@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/workloads/workload.h"
@@ -26,6 +27,11 @@ inline constexpr Bytes kPingPongFootprint = GiB(400);
 std::unique_ptr<Workload> MakeWorkload(const std::string& name, u64 sim_scale,
                                        u32 num_threads, u64 seed);
 bool IsKnownWorkload(const std::string& name);
+
+// OK when `sim_scale` leaves the known workload `name` a footprint it can
+// be built with; InvalidArgument otherwise, naming the largest scale that
+// works. MakeWorkload CHECK-fails on a scale this rejects.
+Status CheckWorkloadScale(const std::string& name, u64 sim_scale);
 
 // The Table 2 set iterated by the paper's figures; excludes pingpong.
 std::vector<std::string> AllWorkloadNames();

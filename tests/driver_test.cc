@@ -2,19 +2,24 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstring>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 
 #include "src/common/types.h"
+#include "src/common/units.h"
 #include "src/core/driver.h"
 #include "src/core/experiment.h"
 #include "src/core/report.h"
 #include "src/core/solution.h"
 #include "src/migration/mechanism.h"
 #include "src/mem/address_space.h"
+#include "src/profiling/mtm_profiler.h"
 #include "src/workloads/workload.h"
 #include "src/workloads/workload_factory.h"
+#include "tests/gups_smoke.h"
 
 namespace mtm {
 namespace {
@@ -256,6 +261,36 @@ TEST(DriverTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.total_ns(), b.total_ns());
   EXPECT_EQ(a.total_accesses, b.total_accesses);
   EXPECT_EQ(a.migration_stats.bytes_migrated, b.migration_stats.bytes_migrated);
+}
+
+// voltdb at scale 64 with a 1 ms interval keeps ~1.6k regions against a
+// budget of 69 page samples, where default-scale runs stay under budget.
+// Sample selection then stops at the budget, quota redistribution takes its
+// over-budget path and the split pass sees only sampled regions. The golden
+// pins the CSV report and the final region table: start, end, sample quota
+// and the bits of the WHI.
+TEST(DriverTest, OverBudgetVoltDbMatchesGolden) {
+  ExperimentConfig config;
+  config.sim_scale = 64;
+  config.interval_ns = Millis(1);
+  config.num_intervals = 40;
+  std::unique_ptr<Workload> workload =
+      MakeWorkload("voltdb", config.sim_scale, config.num_threads, config.seed);
+  Solution solution(SolutionKind::kMtm, config, *workload);
+  const RunResult result = RunSimulation(*workload, solution, config);
+  const auto& profiler = static_cast<const MtmProfiler&>(*solution.profiler());
+  ASSERT_GT(profiler.regions().size(), profiler.NumPageSamples());
+
+  std::ostringstream out;
+  out << CsvHeader() << "\n" << Render(result, ReportFormat::kCsv) << "\n";
+  out << std::hex;
+  for (const auto& [start, region] : profiler.regions()) {
+    u64 whi_bits = 0;
+    std::memcpy(&whi_bits, &region.whi, sizeof(whi_bits));
+    out << region.start.value() << " " << region.end.value() << " " << region.sample_quota
+        << " " << whi_bits << "\n";
+  }
+  EXPECT_EQ(out.str(), ReadGolden("over_budget_voltdb.txt"));
 }
 
 }  // namespace

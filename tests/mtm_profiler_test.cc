@@ -192,6 +192,37 @@ TEST_F(MtmProfilerTest, QuotaConservedAtBudget) {
   EXPECT_EQ(total_quota, profiler->NumPageSamples());
 }
 
+TEST_F(MtmProfilerTest, OverBudgetQuotasEndAtOne) {
+  // Four 16 MiB regions under a budget of eight samples: quotas grow above
+  // one while regions are fewer than samples, then splits of the moving hot
+  // range push the region count to the budget, from where every quota must
+  // end at one. tau_m 0 keeps merges from undoing the splits until overhead
+  // control raises it.
+  BuildMapped(MiB(64), ComponentId(0));
+  MtmProfiler::Config config = DefaultConfig();
+  config.default_region_bytes = MiB(16);
+  config.overhead_fraction = 0.0003;
+  config.tau_m = 0.0;
+  auto profiler = MakeProfiler(config);
+  ASSERT_EQ(profiler->NumPageSamples(), 8u);
+  VirtAddr start = address_space_.vmas()[0].start;
+  bool quota_above_one = false;
+  int over_budget_intervals = 0;
+  for (u64 i = 0; i < 30; ++i) {
+    RunInterval(*profiler, start + (i * MiB(5).value()) % MiB(56).value(), MiB(6));
+    const bool over_budget = profiler->regions().size() >= profiler->NumPageSamples();
+    for (const auto& [rs, region] : profiler->regions()) {
+      quota_above_one |= !over_budget && region.sample_quota > 1;
+      if (over_budget) {
+        EXPECT_EQ(region.sample_quota, 1u) << "interval " << i;
+      }
+    }
+    over_budget_intervals += over_budget;
+  }
+  EXPECT_TRUE(quota_above_one);
+  EXPECT_GT(over_budget_intervals, 0);
+}
+
 TEST_F(MtmProfilerTest, OverheadControlEscalatesTauM) {
   BuildMapped(MiB(64), ComponentId(0));
   MtmProfiler::Config config = DefaultConfig();

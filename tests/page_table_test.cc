@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <ostream>
@@ -251,8 +252,9 @@ TEST(PageTableTest, ScanCostOfLargeTable) {
 }
 
 // Property test: a random interleaving of maps, unmaps and huge-page splits
-// over several 1 GiB windows never corrupts byte accounting, and Find and
-// ForEachMapping agree with a shadow model of the live mappings.
+// over several 1 GiB windows never corrupts byte accounting, Find and
+// ForEachMapping agree with a shadow model of the live mappings, and
+// FindMapping stops where ForEachMapping first meets its predicate.
 class PageTableShadow {
  public:
   struct Mapping {
@@ -346,6 +348,49 @@ void ExpectForEachMatches(PageTable& pt, const PageTableShadow& shadow, u64 star
   EXPECT_EQ(const_seen, expected.size());
 }
 
+// Checks that FindMapping over [start, start+len) returns the first mapping
+// ForEachMapping visits that a random predicate accepts (0 when it accepts
+// none), and that it asks the predicate about no mapping after that one.
+void ExpectFindMappingMatches(PageTable& pt, u64 start, u64 len, Rng& rng) {
+  using Pred = std::function<bool(VirtAddr, Bytes, Pte&)>;
+  const u64 kind = rng.NextBounded(4);
+  const auto component = ComponentId(static_cast<u32>(rng.NextBounded(4)));
+  const u64 nth = rng.NextBounded(64);
+  // A fresh predicate per walk: the nth-visit one counts its calls.
+  auto make_pred = [&]() -> Pred {
+    switch (kind) {
+      case 0:
+        return [component](VirtAddr, Bytes, Pte& pte) { return pte.component == component; };
+      case 1:
+        return [](VirtAddr, Bytes size, Pte&) { return size == kHugePageBytes; };
+      case 2:
+        return [nth, calls = u64{0}](VirtAddr, Bytes, Pte&) mutable { return calls++ == nth; };
+      default:
+        return [](VirtAddr, Bytes, Pte&) { return false; };
+    }
+  };
+  VirtAddr expected;
+  u64 expected_calls = 0;
+  const Pred reference = make_pred();
+  pt.ForEachMapping(VirtAddr(start), Bytes(len), [&](VirtAddr addr, Bytes size, Pte& pte) {
+    if (expected.IsZero()) {
+      ++expected_calls;
+      if (reference(addr, size, pte)) {
+        expected = addr;
+      }
+    }
+  });
+  const Pred pred = make_pred();
+  u64 calls = 0;
+  const VirtAddr hit =
+      pt.FindMapping(VirtAddr(start), Bytes(len), [&](VirtAddr addr, Bytes size, Pte& pte) {
+        ++calls;
+        return pred(addr, size, pte);
+      });
+  EXPECT_EQ(hit, expected) << std::hex << start << "+" << len << " predicate " << kind;
+  EXPECT_EQ(calls, expected_calls) << std::hex << start << "+" << len << " predicate " << kind;
+}
+
 TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
   // Six 1 GiB windows from kBase. Windows 0, 1 and 3 are mapped: window 0
   // near both ends (its last chunks spill into window 1), windows 1 and 3
@@ -356,6 +401,7 @@ TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
   PageTable pt;
   PageTableShadow shadow;
   Rng rng(77);
+  Rng predicate_rng(78);  // its own stream, so the map/unmap sequence is unchanged
 
   // A 2 MiB-aligned address in the mapped part of the windows.
   auto random_chunk = [&]() -> u64 {
@@ -444,6 +490,7 @@ TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
       const u64 align = std::array<u64, 3>{1, kPageSize, kHugePageSize}[rng.NextBounded(3)];
       len = VirtAddr(start + len).AlignUp(align).value() - start;
       ExpectForEachMatches(pt, shadow, start, len);
+      ExpectFindMappingMatches(pt, start, len, predicate_rng);
     }
     ASSERT_EQ(pt.mapped_base_pages(), shadow.Count(kPageBytes)) << step;
     ASSERT_EQ(pt.mapped_huge_pages(), shadow.Count(kHugePageBytes)) << step;

@@ -2,6 +2,10 @@
 // histogram policy and the baseline policies.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/common/histogram.h"
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/mem/address_space.h"
@@ -160,6 +164,32 @@ TEST_F(PolicyTest, MtmAdaptiveHotnessScale) {
   std::vector<MigrationOrder> orders = policy.Decide(Wrap({cold, hot}), ctx_);
   ASSERT_EQ(orders.size(), 1u);
   EXPECT_EQ(orders[0].start, hot.start);
+}
+
+TEST_F(PolicyTest, BucketOrdersMatchHistogram) {
+  // DecideByScore ranks entries by OrderByBucket's counting pass. It must
+  // enumerate exactly as the histogram it replaced: hottest (coldest) bucket
+  // first, ties within a bucket in index order.
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    const double max_value = 0.5 + 4.0 * rng.NextDouble();
+    const u32 num_buckets = 1 + static_cast<u32>(rng.NextBounded(20));
+    std::vector<double> scores(rng.NextBounded(400));
+    for (double& score : scores) {
+      // Few distinct values, so buckets hold many ties, plus values on and
+      // beyond both ends of the range.
+      score = rng.NextBernoulli(0.8)
+                  ? static_cast<double>(rng.NextBounded(13)) * max_value / 10.0
+                  : (1.4 * rng.NextDouble() - 0.2) * max_value;
+    }
+    BucketedHistogram<std::size_t> hist(0.0, max_value, num_buckets);
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      hist.Update(i, scores[i]);
+    }
+    const BucketOrders orders = OrderByBucket(scores, 0.0, max_value, num_buckets);
+    ASSERT_EQ(orders.hottest, hist.HottestFirst()) << "trial " << trial;
+    ASSERT_EQ(orders.coldest, hist.ColdestFirst()) << "trial " << trial;
+  }
 }
 
 TEST_F(PolicyTest, AutoNumaPromotesPmToLocalDramOnly) {

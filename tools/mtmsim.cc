@@ -53,15 +53,19 @@
 //
 // Every argv error exits with status 2 before anything runs, after mtmsim
 // prints it: an unknown flag, a malformed number (--alpha=abc, --seed=-1),
-// or an unknown --workload, --solution, --admission, --policy or --format
-// name, or a --fault_spec that does not parse or names a component the
-// machine lacks (c=0..3, or c=0..1 with --two-tier).
+// a count that does not fit 32 bits (--threads=4294967296), zero --threads
+// or --num-scans, a --scale that leaves the workload below its minimum
+// footprint or a memory component below one page, an unknown --workload,
+// --solution, --admission, --policy or --format name, or a --fault_spec
+// that does not parse or names a component the machine lacks (c=0..3, or
+// c=0..1 with --two-tier).
 #include <cstdio>
 #include <string>
 
 #include "src/common/fault_injection.h"
 #include "src/common/flags.h"
 #include "src/common/status.h"
+#include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/core/driver.h"
 #include "src/core/experiment.h"
@@ -84,18 +88,43 @@ int main(int argc, char** argv) {
 
   mtm::ExperimentConfig config;
   config.sim_scale = flags.GetU64("scale", 512);
-  config.num_threads = static_cast<mtm::u32>(flags.GetU64("threads", 8));
-  config.num_intervals = static_cast<mtm::u32>(flags.GetU64("intervals", 400));
+  config.num_threads = flags.GetU32("threads", 8);
+  config.num_intervals = flags.GetU32("intervals", 400);
   config.target_accesses = flags.GetU64("accesses", 30'000'000);
   config.seed = flags.GetU64("seed", 42);
   config.two_tier = flags.GetBool("two-tier", false);
   config.spread_threads = flags.GetBool("spread-threads", false);
   config.mtm.overhead_fraction = flags.GetDouble("overhead", 0.05);
   config.mtm.alpha = flags.GetDouble("alpha", 0.5);
-  config.mtm.num_scans = static_cast<mtm::u32>(flags.GetU64("num-scans", 3));
+  config.mtm.num_scans = flags.GetU32("num-scans", 3);
   config.mtm.use_pebs = !flags.GetBool("no-pebs", false);
   if (flags.GetBool("sync-migration", false)) {
     config.mtm.mechanism = mtm::MechanismKind::kMmrSync;
+  }
+  std::string workload = flags.GetString("workload", "gups");
+  if (!mtm::IsKnownWorkload(workload)) {
+    std::fprintf(stderr, "bad --workload: %s (see --help)\n", workload.c_str());
+    return 2;
+  }
+  // Values that parse but that no run can be built with.
+  if (config.num_threads == 0 || config.mtm.num_scans == 0) {
+    std::fprintf(stderr, "bad --%s: 0 (want at least 1)\n",
+                 config.num_threads == 0 ? "threads" : "num-scans");
+    return 2;
+  }
+  if (mtm::Status status = mtm::CheckWorkloadScale(workload, config.sim_scale); !status.ok()) {
+    std::fprintf(stderr, "bad --scale: %s\n", status.message().c_str());
+    return 2;
+  }
+  const mtm::Machine machine = config.two_tier ? mtm::Machine::TwoTier(config.sim_scale)
+                                               : mtm::Machine::OptaneFourTier(config.sim_scale);
+  for (mtm::ComponentId c{0}; c < machine.end_component(); ++c) {
+    if (machine.component(c).capacity_bytes < mtm::kPageBytes) {
+      std::fprintf(stderr, "bad --scale: %llu leaves %s smaller than a page\n",
+                   static_cast<unsigned long long>(config.sim_scale),
+                   machine.component(c).name.c_str());
+      return 2;
+    }
   }
   std::string admission_name = flags.GetString("admission", "vanilla");
   if (!mtm::AdmissionKindFromName(admission_name, &config.mtm.admission)) {
@@ -122,9 +151,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad --fault_spec: %s\n", parsed.status().ToString().c_str());
       return 2;
     }
-    const mtm::u32 components = (config.two_tier ? mtm::Machine::TwoTier(config.sim_scale)
-                                                 : mtm::Machine::OptaneFourTier(config.sim_scale))
-                                    .num_components();
+    const mtm::u32 components = machine.num_components();
     for (const mtm::TierFaultEvent& event : parsed.value().schedule()) {
       if (event.component.value() >= components) {
         std::fprintf(stderr, "bad --fault_spec: component %u does not exist (the machine has %u)\n",
@@ -134,11 +161,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string workload = flags.GetString("workload", "gups");
-  if (!mtm::IsKnownWorkload(workload)) {
-    std::fprintf(stderr, "bad --workload: %s (see --help)\n", workload.c_str());
-    return 2;
-  }
   std::string solution_name = flags.GetString("solution", "mtm");
   mtm::SolutionKind solution = mtm::SolutionKind::kMtm;
   if (!mtm::SolutionKindFromName(solution_name, &solution)) {
