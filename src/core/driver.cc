@@ -22,6 +22,21 @@
 
 namespace mtm {
 
+void PrefaultWorkingSet(Solution& solution) {
+  u32 rr = 0;
+  for (const Vma& vma : solution.address_space().vmas()) {
+    if (!vma.prefault) {
+      continue;  // grows at runtime (e.g. append-only history)
+    }
+    const u32 first = rr;
+    solution.engine().Prefault(vma.start, vma.len, vma.thp, [&solution, first](u64 i) {
+      return solution.SocketOfThread(first + static_cast<u32>(i));
+    });
+    rr += static_cast<u32>(vma.len / (vma.thp ? kHugePageBytes : kPageBytes));
+  }
+  solution.tracker().ResetEpoch();
+}
+
 RunResult RunSimulation(Workload& workload, Solution& solution,
                         const ExperimentConfig& config, const RunOptions& options) {
   RunResult result;
@@ -128,30 +143,7 @@ RunResult RunSimulation(Workload& workload, Solution& solution,
   constexpr u32 kBatch = 2048;
   std::array<MemAccess, kBatch> batch;
 
-  // Application initialization: fault the working set in address order, as
-  // real initialization loops do. This is where first-touch placement
-  // decisions happen; the access-phase hot set has no influence on them.
-  {
-    u32 rr = 0;
-    for (const Vma& vma : solution.address_space().vmas()) {
-      if (!vma.prefault) {
-        continue;  // grows at runtime (e.g. append-only history)
-      }
-      const u64 step = vma.thp ? kHugePageSize : kPageSize;
-      for (VirtAddr addr = vma.start; addr < vma.end(); addr += step) {
-        engine.Apply(addr, /*is_write=*/true, solution.SocketOfThread(rr++));
-      }
-    }
-    solution.tracker().ResetEpoch();
-    // Initialization leaves every accessed bit set; clear them so the first
-    // profiling interval observes the access phase, not the init loop.
-    for (const Vma& vma : solution.address_space().vmas()) {
-      solution.page_table().ForEachMapping(vma.start, vma.len, [](VirtAddr, Bytes, Pte& pte) {
-        pte.Clear(Pte::kAccessed);
-        pte.Clear(Pte::kDirty);
-      });
-    }
-  }
+  PrefaultWorkingSet(solution);
 
   u64 fast_tier_accesses_prev = 0;
   const ComponentId fast_tier = solution.machine().TierOrder(0)[0];

@@ -245,4 +245,17 @@ Solution::Solution(SolutionKind kind, const ExperimentConfig& config, Workload& 
   migration_->set_admission(admission_.get(), tuning);
 }
 
+Status Solution::CheckFootprintFits() const {
+  const Bytes need = address_space_.MinPrefaultBytes();
+  const Bytes have = fault_handler_->PlaceableBytes();
+  if (need > have) {
+    return ResourceExhaustedError(
+        "the workload must map at least " + std::to_string(need.value()) +
+        " bytes, but placement policy " +
+        PlacementPolicyName(fault_handler_->policy()) + " may use only " +
+        std::to_string(have.value()) + " bytes of the machine");
+  }
+  return OkStatus();
+}
+
 }  // namespace mtm

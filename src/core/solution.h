@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/fault_injection.h"
+#include "src/common/status.h"
 #include "src/core/experiment.h"
 #include "src/mem/address_space.h"
 #include "src/mem/frame_allocator.h"
@@ -87,6 +88,10 @@ class Solution {
   AccessEngine& engine() { return *engine_; }
   AccessTracker& tracker() { return tracker_; }
   PebsEngine* pebs() { return pebs_.get(); }
+  // Memory-Mode DRAM cache fronting `socket`'s PM; null unless hmc.
+  const HmcCache* hmc_cache(u32 socket) const {
+    return socket < hmc_caches_.size() ? hmc_caches_[socket].get() : nullptr;
+  }
 
   Profiler* profiler() { return profiler_.get(); }          // may be null
   TieringPolicy* policy() { return policy_.get(); }          // may be null
@@ -101,6 +106,11 @@ class Solution {
   FaultInjector* fault_injector() { return injector_ != nullptr && injector_->armed()
                                                ? injector_.get()
                                                : nullptr; }
+
+  // OK when the least the run maps (AddressSpace::MinPrefaultBytes) fits
+  // the capacity its placement may use; otherwise ResourceExhausted, as the
+  // run would stop on an unserviceable page fault.
+  Status CheckFootprintFits() const;
 
   u32 SocketOfThread(u32 thread) const {
     return config_.spread_threads ? thread % machine_->num_sockets() : 0;

@@ -16,6 +16,7 @@ namespace mtm {
 struct Vma {
   VirtAddr start;
   Bytes len;
+  Bytes object_len;       // the object's own bytes; len rounds them up
   bool thp = false;       // eligible for transparent 2 MiB mappings
   bool prefault = true;   // touched by application initialization
   std::string name;
@@ -38,6 +39,7 @@ class AddressSpace {
     Vma vma;
     vma.start = next_;
     vma.len = rounded;
+    vma.object_len = len;
     vma.thp = thp;
     vma.prefault = prefault;
     vma.name = std::move(name);
@@ -60,6 +62,20 @@ class AddressSpace {
   }
 
   Bytes total_bytes() const { return total_bytes_; }
+
+  // The least a run maps to fault its initialized objects in: every page of
+  // a base-page VMA (initialization writes each one), and every page of the
+  // object in a THP VMA (a 2 MiB block that fits nowhere falls back to base
+  // pages, one per touched page).
+  Bytes MinPrefaultBytes() const {
+    Bytes total;
+    for (const Vma& v : vmas_) {
+      if (v.prefault) {
+        total += v.thp ? PageAlignUp(v.object_len) : v.len;
+      }
+    }
+    return total;
+  }
 
  private:
   VirtAddr next_ = kBase;

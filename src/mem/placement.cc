@@ -1,5 +1,8 @@
 #include "src/mem/placement.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "src/common/logging.h"
 #include "src/common/status.h"
 #include "src/sim/tier.h"
@@ -51,27 +54,68 @@ void PlacementFaultHandler::CandidateOrder(u32 socket, ComponentId out[], u32* c
   *count = n;
 }
 
-ComponentId PlacementFaultHandler::HandlePageFault(VirtAddr addr, u32 socket, bool /*is_write*/) {
-  ComponentId candidates[16];
+Bytes PlacementFaultHandler::PlaceableBytes() const {
+  std::vector<bool> placeable(machine_.num_components(), false);
+  for (u32 socket = 0; socket < machine_.num_sockets(); ++socket) {
+    ComponentId candidates[16];
+    u32 count = 0;
+    CandidateOrder(socket, candidates, &count);
+    for (u32 i = 0; i < count; ++i) {
+      placeable[candidates[i].value()] = true;
+    }
+  }
+  Bytes total;
+  for (ComponentId c{0}; c < machine_.end_component(); ++c) {
+    if (placeable[c.value()]) {
+      total += PageAlignDown(frames_.capacity(c));
+    }
+  }
+  return total;
+}
+
+u32 PlacementFaultHandler::HealthyCandidates(u32 socket, ComponentId out[]) const {
   u32 count = 0;
-  CandidateOrder(socket, candidates, &count);
+  CandidateOrder(socket, out, &count);
   // Offline components take no new allocations; compact them out of the
   // candidate list (preserving order) rather than in CandidateOrder so the
   // policy's tier preferences stay health-agnostic.
   u32 healthy = 0;
   for (u32 i = 0; i < count; ++i) {
-    if (!machine_.IsOffline(candidates[i])) {
-      candidates[healthy++] = candidates[i];
+    if (!machine_.IsOffline(out[i])) {
+      out[healthy++] = out[i];
     }
   }
-  count = healthy;
-  MTM_CHECK_GT(count, 0u);
+  MTM_CHECK_GT(healthy, 0u);
+  return healthy;
+}
 
+PlacedRun PlacementFaultHandler::PlaceRun(VirtAddr addr, u64 count, bool huge, u32 socket) {
+  ComponentId candidates[16];
+  const u32 healthy = HealthyCandidates(socket, candidates);
+  const Bytes size = huge ? kHugePageBytes : kPageBytes;
+  const VirtAddr start = huge ? HugeAlignDown(addr) : PageAlignDown(addr);
+  for (u32 i = 0; i < healthy; ++i) {
+    const ComponentId c = candidates[i];
+    const u64 fit = std::min(count, frames_.free_bytes(c) / size);
+    if (fit == 0) {
+      continue;
+    }
+    MTM_CHECK(frames_.Reserve(c, size * fit).ok());
+    Status s = page_table_.MapRange(start, size * fit, c, huge);
+    MTM_CHECK(s.ok()) << s.ToString();
+    (huge ? huge_faults_ : base_faults_) += fit;
+    return PlacedRun{c, fit, huge};
+  }
+  // A huge block may fit nowhere while a base page still does.
+  return huge ? PlaceRun(addr, 1, /*huge=*/false, socket) : PlacedRun{};
+}
+
+ComponentId PlacementFaultHandler::HandlePageFault(VirtAddr addr, u32 socket, bool /*is_write*/) {
   const Vma* vma = address_space_.FindVma(addr);
   bool want_huge = vma != nullptr && vma->thp;
-  VirtAddr huge_start = HugeAlignDown(addr);
   if (want_huge) {
     // The whole huge block must be inside the VMA and fully unmapped.
+    const VirtAddr huge_start = HugeAlignDown(addr);
     if (huge_start < vma->start || huge_start + kHugePageSize > vma->end()) {
       want_huge = false;
     } else {
@@ -82,35 +126,7 @@ ComponentId PlacementFaultHandler::HandlePageFault(VirtAddr addr, u32 socket, bo
       }
     }
   }
-
-  for (u32 i = 0; i < count; ++i) {
-    ComponentId c = candidates[i];
-    if (want_huge && frames_.Reserve(c, kHugePageBytes).ok()) {
-      Status s = page_table_.MapRange(huge_start, kHugePageBytes, c, /*huge=*/true);
-      MTM_CHECK(s.ok()) << s.ToString();
-      ++huge_faults_;
-      return c;
-    }
-    if (!want_huge && frames_.Reserve(c, kPageBytes).ok()) {
-      Status s = page_table_.MapRange(PageAlignDown(addr), kPageBytes, c, /*huge=*/false);
-      MTM_CHECK(s.ok()) << s.ToString();
-      ++base_faults_;
-      return c;
-    }
-  }
-  // A huge reservation may fail everywhere while a base page still fits.
-  if (want_huge) {
-    for (u32 i = 0; i < count; ++i) {
-      ComponentId c = candidates[i];
-      if (frames_.Reserve(c, kPageBytes).ok()) {
-        Status s = page_table_.MapRange(PageAlignDown(addr), kPageBytes, c, /*huge=*/false);
-        MTM_CHECK(s.ok()) << s.ToString();
-        ++base_faults_;
-        return c;
-      }
-    }
-  }
-  return kInvalidComponent;
+  return PlaceRun(addr, 1, want_huge, socket).component;
 }
 
 }  // namespace mtm

@@ -8,9 +8,15 @@
 // * kPmOnly           — Memory Mode: DRAM is a hardware cache, so pages only
 //                       ever reside on PM components.
 //
+// One routine places every fault, a run at a time: from the faulting
+// socket's candidates (healthy ones, in the policy's order) it takes the
+// first with room and maps as many of the run's mappings there as fit, with
+// one reservation and one MapRange. Initialization faults whole VMAs in
+// through it; a runtime fault is a run of one.
+//
 // The handler honors THP: on a fault inside a THP-eligible VMA, it maps the
-// whole 2 MiB block as a huge page when the block fits the VMA and the
-// target component has room, falling back to a base page otherwise.
+// whole 2 MiB block as a huge page when the block fits the VMA and some
+// candidate has room, falling back to one base page otherwise.
 #pragma once
 
 #include "src/common/types.h"
@@ -30,7 +36,7 @@ enum class PlacementPolicy {
 
 const char* PlacementPolicyName(PlacementPolicy policy);
 
-class PlacementFaultHandler : public FaultHandler {
+class PlacementFaultHandler final : public FaultHandler {
  public:
   PlacementFaultHandler(const Machine& machine, PageTable& page_table,
                         FrameAllocator& frames, const AddressSpace& address_space,
@@ -41,14 +47,22 @@ class PlacementFaultHandler : public FaultHandler {
         address_space_(address_space),
         policy_(policy) {}
 
+  PlacedRun PlaceRun(VirtAddr addr, u64 count, bool huge, u32 socket) override;
   ComponentId HandlePageFault(VirtAddr addr, u32 socket, bool is_write) override;
 
+  // Whole-page capacity of the components this policy may place on from
+  // any socket, offline or not.
+  Bytes PlaceableBytes() const;
+
+  PlacementPolicy policy() const { return policy_; }
   u64 huge_faults() const { return huge_faults_; }
   u64 base_faults() const { return base_faults_; }
 
  private:
   // Candidate components in preference order for a fault from `socket`.
   void CandidateOrder(u32 socket, ComponentId out[], u32* count) const;
+  // CandidateOrder without its offline components; at least one.
+  u32 HealthyCandidates(u32 socket, ComponentId out[]) const;
 
   const Machine& machine_;
   PageTable& page_table_;

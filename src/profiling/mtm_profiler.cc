@@ -373,12 +373,17 @@ void MtmProfiler::RedistributeQuota() {
     // Every quota is at least one, so the excess total - num_ps is at least
     // total - regions, all the quota above one: reclaiming it from the
     // least-varying regions first leaves every region at one, whatever the
-    // variance order.
-    for (auto& [start, region] : regions_) {
-      region.sample_quota = 1;
+    // variance order. Merges and splits keep every quota at one, so once
+    // set, the walk has nothing to do until the branch below raises one.
+    if (!quotas_all_one_) {
+      for (auto& [start, region] : regions_) {
+        region.sample_quota = 1;
+      }
+      quotas_all_one_ = true;
     }
     return;
   }
+  quotas_all_one_ = false;
   u64 total = 0;
   std::vector<Region*> all;
   all.reserve(regions_.size());

@@ -37,6 +37,44 @@ SimNanos AccessEngine::PageFillCost(u32 socket, ComponentId component) const {
                          static_cast<double>(config_.num_threads));
 }
 
+// Inlined into Apply, the per-access hot path.
+[[gnu::always_inline]] inline void AccessEngine::Charge(VirtAddr addr, ComponentId component,
+                                                        u32 socket, bool is_write) {
+  counters_.CountApp(component, is_write);
+  if (tracker_ != nullptr) {
+    tracker_->OnAccess(addr, is_write);
+  }
+
+  // Memory-mode caching intercepts the cost model: hits are served at local
+  // DRAM speed, misses pay the PM access plus the line fill, and dirty
+  // evictions pay the writeback (write amplification).
+  if (!hmc_caches_.empty() && machine_.component(component).mem_class == MemClass::kPm) {
+    u32 home = machine_.component(component).home_socket;
+    HmcCache* cache = hmc_caches_[home];
+    MTM_CHECK(cache != nullptr);
+    HmcCache::AccessOutcome outcome = cache->Access(VpnOf(addr), is_write);
+    ComponentId local_dram = machine_.TierOrder(home)[0];
+    if (outcome.hit) {
+      clock_.AdvanceApp(AccessCost(socket, local_dram) +
+                        config_.hmc_hit_overhead_ns / config_.num_threads);
+    } else {
+      // Miss: the demand access goes to PM, and the 4 KiB line fill consumes
+      // PM bandwidth (modeled as a handful of line transfers of overhead).
+      SimNanos miss_cost = AccessCost(socket, component);
+      SimNanos fill_cost = PageFillCost(home, component);
+      SimNanos writeback_cost =
+          outcome.dirty_writeback ? PageFillCost(home, component) : SimNanos{};
+      clock_.AdvanceApp(miss_cost + fill_cost + writeback_cost);
+      counters_.CountMigrationBytes(component, kPageBytes);
+    }
+  } else {
+    clock_.AdvanceApp(AccessCost(socket, component));
+  }
+  if (pebs_ != nullptr) {
+    pebs_->Observe(addr, component, socket, is_write);
+  }
+}
+
 ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
   ++total_accesses_;
   Pte* pte = page_table_.Find(addr);
@@ -81,44 +119,48 @@ ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
   }
 
   ComponentId component = pte->component;
-  counters_.CountApp(component, is_write);
-  if (tracker_ != nullptr) {
-    tracker_->OnAccess(addr, is_write);
-  }
-
-  // Memory-mode caching intercepts the cost model: hits are served at local
-  // DRAM speed, misses pay the PM access plus the line fill, and dirty
-  // evictions pay the writeback (write amplification).
-  if (!hmc_caches_.empty() && machine_.component(component).mem_class == MemClass::kPm) {
-    u32 home = machine_.component(component).home_socket;
-    HmcCache* cache = hmc_caches_[home];
-    MTM_CHECK(cache != nullptr);
-    HmcCache::AccessOutcome outcome = cache->Access(VpnOf(addr), is_write);
-    ComponentId local_dram = machine_.TierOrder(home)[0];
-    if (outcome.hit) {
-      clock_.AdvanceApp(AccessCost(socket, local_dram) +
-                        config_.hmc_hit_overhead_ns / config_.num_threads);
-    } else {
-      // Miss: the demand access goes to PM, and the 4 KiB line fill consumes
-      // PM bandwidth (modeled as a handful of line transfers of overhead).
-      SimNanos miss_cost = AccessCost(socket, component);
-      SimNanos fill_cost = PageFillCost(home, component);
-      SimNanos writeback_cost =
-          outcome.dirty_writeback ? PageFillCost(home, component) : SimNanos{};
-      clock_.AdvanceApp(miss_cost + fill_cost + writeback_cost);
-      counters_.CountMigrationBytes(component, kPageBytes);
-    }
-    if (pebs_ != nullptr) {
-      pebs_->Observe(addr, component, socket, is_write);
-    }
-    return component;
-  }
-
-  clock_.AdvanceApp(AccessCost(socket, component));
-  if (pebs_ != nullptr) {
-    pebs_->Observe(addr, component, socket, is_write);
-  }
+  Charge(addr, component, socket, is_write);
   return component;
+}
+
+void AccessEngine::Prefault(VirtAddr start, Bytes len, bool huge,
+                            const std::function<u32(u64)>& socket_of) {
+  MTM_CHECK(fault_handler_ != nullptr) << "prefault with no handler, addr=" << start;
+  const u64 step = huge ? kHugePageSize : kPageSize;
+  MTM_CHECK(start.IsAligned(step) && len.value() % step == 0) << "unaligned prefault range";
+  const u64 total = len.value() / step;
+  // Only an attached per-access observer needs each write on its own; every
+  // other term of a run's charge is an integer sum.
+  const bool observed =
+      tracker_ != nullptr || !hmc_caches_.empty() || (pebs_ != nullptr && pebs_->enabled());
+  u64 i = 0;
+  while (i < total) {
+    const u32 socket = socket_of(i);
+    u64 end = i + 1;
+    while (end < total && socket_of(end) == socket) {
+      ++end;
+    }
+    while (i < end) {
+      const VirtAddr addr = start + i * step;
+      const PlacedRun run = fault_handler_->PlaceRun(addr, end - i, huge, socket);
+      MTM_CHECK_NE(run.component, kInvalidComponent) << "unserviceable page fault, addr=" << addr;
+      total_accesses_ += run.count;
+      page_faults_ += run.count;
+      clock_.AdvanceApp(config_.page_fault_ns / config_.num_threads * run.count);
+      const Bytes size = run.huge ? kHugePageBytes : kPageBytes;
+      page_table_.ForEachMapping(addr, size * run.count, [&](VirtAddr at, Bytes, Pte& pte) {
+        pte.payload = MixPayload(pte.payload, at);
+        if (observed) {
+          Charge(at, run.component, socket, /*is_write=*/true);
+        }
+      });
+      if (!observed) {
+        counters_.CountApp(run.component, /*is_write=*/true, run.count);
+        clock_.AdvanceApp(AccessCost(socket, run.component) * run.count);
+      }
+      i += run.count;
+    }
+  }
 }
 
 std::vector<HintFaultEvent> AccessEngine::DrainHintFaults() {

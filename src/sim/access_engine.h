@@ -14,8 +14,13 @@
 //      divided by the thread concurrency but floored by the component's
 //      bandwidth;
 //   6. feeds the PEBS engine and the per-tier counters.
+//
+// Application initialization takes a bulk path instead (Prefault): it faults
+// a whole range in by runs placed on one component each, and charges each
+// run's faults, writes and costs at once.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "src/common/types.h"
@@ -30,14 +35,29 @@
 
 namespace mtm {
 
+// Consecutive mappings of one size that one placement put on one component.
+struct PlacedRun {
+  ComponentId component = kInvalidComponent;  // kInvalidComponent: nothing fit
+  u64 count = 0;
+  bool huge = false;  // 2 MiB mappings; 4 KiB pages otherwise
+};
+
 // Services page faults (missing translation). Implementations decide
 // placement (first-touch NUMA, MTM's slow-tier-first, memory mode) and must
-// map the page (base or huge) into the page table before returning.
+// map the pages (base or huge) into the page table before returning.
 class FaultHandler {
  public:
   virtual ~FaultHandler() = default;
-  // Returns the component the faulting page was placed on, or
-  // kInvalidComponent if the fault could not be serviced (treated fatal).
+  // Places the first run of up to `count` consecutive unmapped mappings
+  // faulted from `socket`: 2 MiB blocks from the one holding `addr` when
+  // `huge`, 4 KiB pages from the one holding `addr` otherwise. Callers
+  // place the rest with further calls. A 2 MiB block that fits nowhere
+  // falls back to the one base page holding `addr`; a run whose component
+  // is kInvalidComponent placed nothing.
+  virtual PlacedRun PlaceRun(VirtAddr addr, u64 count, bool huge, u32 socket) = 0;
+  // Services one fault at `addr`: PlaceRun with a count of one. Returns the
+  // component the faulting page was placed on, or kInvalidComponent if the
+  // fault could not be serviced (treated fatal).
   virtual ComponentId HandlePageFault(VirtAddr addr, u32 socket, bool is_write) = 0;
 };
 
@@ -91,6 +111,15 @@ class AccessEngine {
   // access (after any fault handling).
   ComponentId Apply(VirtAddr addr, bool is_write, u32 socket);
 
+  // Application initialization: one write to each unmapped 2 MiB block
+  // (`huge`) or 4 KiB page of [start, start+len), in address order, the
+  // i-th issued from socket_of(i). Equivalent to Apply on each, except that
+  // no accessed/dirty bit is set: each run of same-socket mappings is
+  // placed by PlaceRun and charged at once. Attached per-access observers
+  // (the tracker, HMC caches, an enabled PEBS engine) still see every write.
+  void Prefault(VirtAddr start, Bytes len, bool huge,
+                const std::function<u32(u64)>& socket_of);
+
   // Drains hint-fault events recorded since the last call.
   std::vector<HintFaultEvent> DrainHintFaults();
 
@@ -109,6 +138,10 @@ class AccessEngine {
   SimNanos PageFillCost(u32 socket, ComponentId component) const;
 
  private:
+  // After translation: counts one access to `component`, feeds the
+  // observers and charges its cost.
+  void Charge(VirtAddr addr, ComponentId component, u32 socket, bool is_write);
+
   const Machine& machine_;
   PageTable& page_table_;
   SimClock& clock_;

@@ -16,11 +16,11 @@ class MemCounters {
         app_writes_(num_components, 0),
         migration_bytes_(num_components) {}
 
-  void CountApp(ComponentId c, bool is_write) {
+  void CountApp(ComponentId c, bool is_write, u64 n = 1) {
     if (is_write) {
-      ++app_writes_[c];
+      app_writes_[c] += n;
     } else {
-      ++app_reads_[c];
+      app_reads_[c] += n;
     }
   }
 

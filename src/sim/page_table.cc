@@ -41,8 +41,8 @@ PageTable::Directory& PageTable::EnsureDirectory(VirtAddr addr) {
   return **it;
 }
 
-Status PageTable::MapOne(VirtAddr addr, ComponentId component, bool huge) {
-  Chunk& chunk = EnsureDirectory(addr).chunks[ChunkIndex(addr)];
+Status PageTable::MapChunk(VirtAddr start, VirtAddr end, ComponentId component, bool huge) {
+  Chunk& chunk = EnsureDirectory(start).chunks[ChunkIndex(start)];
   if (huge) {
     if (chunk.huge.present()) {
       return AlreadyExistsError("huge page already mapped");
@@ -71,15 +71,18 @@ Status PageTable::MapOne(VirtAddr addr, ComponentId component, bool huge) {
   if (chunk.leaf == nullptr) {
     chunk.leaf = std::make_unique<Leaf>();
   }
-  Pte& pte = chunk.leaf->entries[addr.Shifted(kPageShift) & (kPagesPerHugePage - 1)];
-  if (pte.present()) {
+  auto first = chunk.leaf->entries.begin() + (start.Shifted(kPageShift) & (kPagesPerHugePage - 1));
+  auto last = first + static_cast<std::ptrdiff_t>((end - start) >> kPageShift);
+  if (std::any_of(first, last, [](const Pte& pte) { return pte.present(); })) {
     return AlreadyExistsError("page already mapped");
   }
-  pte = Pte{};
+  Pte pte;
   pte.Set(Pte::kPresent);
   pte.component = component;
-  mapped_bytes_ += kPageBytes;
-  ++mapped_base_pages_;
+  std::fill(first, last, pte);
+  const u64 pages = static_cast<u64>(last - first);
+  mapped_bytes_ += kPageBytes * pages;
+  mapped_base_pages_ += pages;
   return OkStatus();
 }
 
@@ -91,12 +94,15 @@ Status PageTable::MapRange(VirtAddr start, Bytes len, ComponentId component, boo
   if (!start.IsAligned(page) || (len.value() & (page - 1)) != 0) {
     return InvalidArgumentError("unaligned map range");
   }
-  for (VirtAddr addr = start; addr < start + len; addr += page) {
-    if (Status status = MapOne(addr, component, huge); !status.ok()) {
+  const VirtAddr end = start + len;
+  for (VirtAddr addr = start; addr < end;) {
+    const VirtAddr chunk_end = std::min(HugeAlignDown(addr) + kHugePageSize, end);
+    if (Status status = MapChunk(addr, chunk_end, component, huge); !status.ok()) {
       // Unmap the pages this call mapped so a failed map changes nothing.
       MTM_CHECK(UnmapRange(start, Bytes(addr - start)).ok());
       return status;
     }
+    addr = chunk_end;
   }
   return OkStatus();
 }

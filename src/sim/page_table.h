@@ -174,7 +174,10 @@ class PageTable {
   Directory* FindDirectory(VirtAddr addr);
   Directory& EnsureDirectory(VirtAddr addr);
 
-  Status MapOne(VirtAddr addr, ComponentId component, bool huge);
+  // Maps [start, end), which lies in one 2 MiB chunk (is the whole chunk
+  // when huge); fails with kAlreadyExists, mapping nothing, if any of it is
+  // mapped.
+  Status MapChunk(VirtAddr start, VirtAddr end, ComponentId component, bool huge);
 
   // The one leaf walk behind FindMapping and ForEachMapping.
   template <typename Visit>

@@ -7,6 +7,7 @@
 #include "src/mem/address_space.h"
 #include "src/mem/frame_allocator.h"
 #include "src/mem/placement.h"
+#include "src/sim/access_engine.h"
 #include "src/sim/machine.h"
 #include "src/sim/page_table.h"
 #include "src/sim/tier.h"
@@ -108,6 +109,63 @@ TEST_F(PlacementTest, HugeFallsBackToBasePageUnderPressure) {
   EXPECT_EQ(handler.base_faults(), 1u);
 }
 
+TEST_F(PlacementTest, HugeFallbackMapsThePageHoldingTheFault) {
+  u32 vma = address_space_.Allocate(MiB(4), /*thp=*/true, "x");
+  auto handler = MakeHandler(PlacementPolicy::kFirstTouch);
+  for (ComponentId c{0}; c < machine_.end_component(); ++c) {
+    Bytes keep = c == machine_.TierOrder(0)[0] ? 3 * kPageBytes : Bytes{};
+    ASSERT_TRUE(frames_.Reserve(c, frames_.free_bytes(c) - keep).ok());
+  }
+  VirtAddr addr = address_space_.vma(vma).start + 5 * kPageSize + 100;
+  EXPECT_EQ(handler.HandlePageFault(addr, 0, false), machine_.TierOrder(0)[0]);
+  EXPECT_NE(page_table_.Find(addr), nullptr);
+  EXPECT_EQ(page_table_.Find(address_space_.vma(vma).start), nullptr);
+  EXPECT_EQ(page_table_.mapped_base_pages(), 1u);
+}
+
+TEST_F(PlacementTest, PlaceRunFillsOneCandidateThenLeavesTheRest) {
+  u32 vma = address_space_.Allocate(MiB(4), /*thp=*/false, "x");
+  auto handler = MakeHandler(PlacementPolicy::kFirstTouch);
+  const ComponentId first = machine_.TierOrder(0)[0];
+  ASSERT_TRUE(frames_.Reserve(first, frames_.free_bytes(first) - 10 * kPageBytes).ok());
+  const VirtAddr start = address_space_.vma(vma).start;
+  PlacedRun run = handler.PlaceRun(start, 16, /*huge=*/false, 0);
+  EXPECT_EQ(run.component, first);
+  EXPECT_EQ(run.count, 10u);
+  EXPECT_FALSE(run.huge);
+  EXPECT_EQ(frames_.free_bytes(first), Bytes{});
+  run = handler.PlaceRun(start + 10 * kPageSize, 6, /*huge=*/false, 0);
+  EXPECT_EQ(run.component, machine_.TierOrder(0)[1]);
+  EXPECT_EQ(run.count, 6u);
+  EXPECT_EQ(page_table_.mapped_base_pages(), 16u);
+  EXPECT_EQ(handler.base_faults(), 16u);
+}
+
+TEST_F(PlacementTest, PlaceRunOfHugeBlocks) {
+  u32 vma = address_space_.Allocate(MiB(8), /*thp=*/true, "x");
+  auto handler = MakeHandler(PlacementPolicy::kSlowTierFirst);
+  PlacedRun run = handler.PlaceRun(address_space_.vma(vma).start, 4, /*huge=*/true, 0);
+  EXPECT_EQ(machine_.component(run.component).mem_class, MemClass::kPm);
+  EXPECT_EQ(run.count, 4u);
+  EXPECT_TRUE(run.huge);
+  EXPECT_EQ(page_table_.mapped_huge_pages(), 4u);
+  EXPECT_EQ(frames_.used(run.component), MiB(8));
+}
+
+TEST_F(PlacementTest, PlaceableBytesFollowsThePolicy) {
+  Bytes all;
+  Bytes pm;
+  for (ComponentId c{0}; c < machine_.end_component(); ++c) {
+    all += frames_.capacity(c);
+    if (machine_.component(c).mem_class == MemClass::kPm) {
+      pm += frames_.capacity(c);
+    }
+  }
+  EXPECT_EQ(MakeHandler(PlacementPolicy::kFirstTouch).PlaceableBytes(), all);
+  EXPECT_EQ(MakeHandler(PlacementPolicy::kSlowTierFirst).PlaceableBytes(), all);
+  EXPECT_EQ(MakeHandler(PlacementPolicy::kPmOnly).PlaceableBytes(), pm);
+}
+
 TEST_F(PlacementTest, NonThpVmaUsesBasePages) {
   u32 vma = address_space_.Allocate(MiB(4), /*thp=*/false, "x");
   auto handler = MakeHandler(PlacementPolicy::kFirstTouch);
@@ -126,6 +184,16 @@ TEST_F(PlacementTest, FrameAccountingMatchesMappings) {
   }
   EXPECT_EQ(frames_.total_used(), MiB(4));
   EXPECT_EQ(page_table_.mapped_bytes(), MiB(4));
+}
+
+TEST(AddressSpaceTest, MinPrefaultBytes) {
+  AddressSpace as;
+  as.Allocate(Bytes(5000), /*thp=*/false, "base");     // every page of 2 MiB
+  as.Allocate(Bytes(5000), /*thp=*/true, "huge");      // the object's two pages
+  as.Allocate(MiB(4), /*thp=*/true, "later", /*prefault=*/false);
+  EXPECT_EQ(as.vma(1).object_len, Bytes(5000));
+  EXPECT_EQ(as.vma(1).len, kHugePageBytes);
+  EXPECT_EQ(as.MinPrefaultBytes(), kHugePageBytes + 2 * kPageBytes);
 }
 
 TEST(FrameAllocatorTest, ReserveRelease) {

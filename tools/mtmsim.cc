@@ -53,14 +53,17 @@
 //
 // Every argv error exits with status 2 before anything runs, after mtmsim
 // prints it: an unknown flag, a malformed number (--alpha=abc, --seed=-1),
-// a count that does not fit 32 bits (--threads=4294967296), zero --threads
-// or --num-scans, a --scale that leaves the workload below its minimum
-// footprint or a memory component below one page, an unknown --workload,
-// --solution, --admission, --policy or --format name, or a --fault_spec
-// that does not parse or names a component the machine lacks (c=0..3, or
-// c=0..1 with --two-tier).
+// a count that does not fit 32 bits (--threads=4294967296), zero --threads,
+// --num-scans or --intervals, a --scale that leaves the workload below its
+// minimum footprint, a memory component below one page, or the workload's
+// pages more than the solution's placement may use (PM alone for hmc), an
+// unknown --workload, --solution, --admission, --policy or --format name,
+// or a --fault_spec that does not parse or names a component the machine
+// lacks (c=0..3, or c=0..1 with --two-tier).
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "src/common/fault_injection.h"
 #include "src/common/flags.h"
@@ -77,6 +80,7 @@
 #include "src/migration/policy_registry.h"
 #include "src/obs/obs.h"
 #include "src/sim/machine.h"
+#include "src/workloads/workload.h"
 #include "src/workloads/workload_factory.h"
 
 int main(int argc, char** argv) {
@@ -107,10 +111,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   // Values that parse but that no run can be built with.
-  if (config.num_threads == 0 || config.mtm.num_scans == 0) {
-    std::fprintf(stderr, "bad --%s: 0 (want at least 1)\n",
-                 config.num_threads == 0 ? "threads" : "num-scans");
-    return 2;
+  for (const auto& [name, value] : {std::pair<const char*, mtm::u32>{"threads", config.num_threads},
+                                    {"num-scans", config.mtm.num_scans},
+                                    {"intervals", config.num_intervals}}) {
+    if (value == 0) {
+      std::fprintf(stderr, "bad --%s: 0 is out of range (want at least 1)\n", name);
+      return 2;
+    }
   }
   if (mtm::Status status = mtm::CheckWorkloadScale(workload, config.sim_scale); !status.ok()) {
     std::fprintf(stderr, "bad --scale: %s\n", status.message().c_str());
@@ -206,7 +213,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  mtm::RunResult result = mtm::RunExperiment(workload, solution, config, options);
+  // The workload's layout, and so the least it maps, is known once built.
+  std::unique_ptr<mtm::Workload> built =
+      mtm::MakeWorkload(workload, config.sim_scale, config.num_threads, config.seed);
+  mtm::Solution stack(solution, config, *built);
+  if (mtm::Status status = stack.CheckFootprintFits(); !status.ok()) {
+    std::fprintf(stderr, "bad --scale: %llu: %s\n",
+                 static_cast<unsigned long long>(config.sim_scale), status.message().c_str());
+    return 2;
+  }
+  mtm::RunResult result = mtm::RunSimulation(*built, stack, config, options);
 
   if (options.obs != nullptr) {
     mtm::Status status = mtm::WriteObservabilityFiles(obs, metrics_out, trace_out);
