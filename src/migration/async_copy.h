@@ -3,20 +3,21 @@
 // The paper's mechanism wins because allocation and copy run on kernel
 // helper threads off the application's critical path. The simulator
 // charges that overlap in simulated time (MigrationEngine's async window);
-// the copy itself is a pure function of a snapshot, computed once at arm
-// time:
+// the copy itself is a pure function of a snapshot taken at arm time and
+// computed only if the window commits:
 //
 //   * when the migration engine arms a region, it snapshots one
 //     PageCopyRecord per still-to-move page (address, size, source
-//     component, payload word) and calls CopyRegion();
-//   * CopyRegion() plans copy shards over the snapshot (contiguous record
-//     slices that break only at 2 MiB huge-page boundaries), expands every
-//     page's payload into its cache lines, folds them into one checksum per
-//     shard, and folds the shard checksums in shard order;
-//   * the engine keeps the result with the in-flight order and folds it into
-//     the run's copy checksum when the async window commits, or drops it on
-//     the §7.2 write-fault fallback (the staged pages are stale and "must be
-//     copied again") and on aborted transactions.
+//     component, payload word) and keeps the snapshot with the in-flight
+//     order;
+//   * when the async window commits, the engine calls CopyRegion(), which
+//     plans copy shards over the snapshot (contiguous record slices that
+//     break only at 2 MiB huge-page boundaries), expands every page's
+//     payload into its cache lines, folds them into one checksum per shard,
+//     and folds the shard checksums in shard order; the engine folds the
+//     result into the run's copy checksum;
+//   * the §7.2 write-fault fallback (the staged pages are stale and "must be
+//     copied again") and aborted transactions drop the snapshot unexpanded.
 #pragma once
 
 #include <cstddef>

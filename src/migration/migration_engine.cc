@@ -1,6 +1,7 @@
 #include "src/migration/migration_engine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/common/strong_types.h"
@@ -25,43 +26,33 @@ MigrationEngine::MigrationEngine(const Machine& machine, PageTable& page_table,
 
 MechanismCost MigrationEngine::PlanCost(const MigrationOrder& order, MechanismKind kind,
                                         Bytes* bytes_out, ComponentId* src_out) {
-  // Group the range's mappings by source component.
-  struct Run {
-    ComponentId src = kInvalidComponent;
-    u64 base_pages = 0;
-    u64 huge_pages = 0;
-  };
-  std::vector<Run> runs;
-  Bytes bytes;
-  page_table_.ForEachMapping(order.start, order.len, [&](VirtAddr, Bytes size, Pte& pte) {
-    if (pte.component == order.dst) {
-      return;  // already resident
-    }
-    auto it = std::find_if(runs.begin(), runs.end(),
-                           [&](const Run& r) { return r.src == pte.component; });
-    if (it == runs.end()) {
-      runs.push_back(Run{pte.component, 0, 0});
-      it = std::prev(runs.end());
-    }
-    if (size == kHugePageBytes) {
-      ++it->huge_pages;
-    } else {
-      ++it->base_pages;
-    }
-    bytes += size;
-  });
+  // Group the range's still-to-move mappings by source component. The sums
+  // are integer nanoseconds, so the order of the sources does not matter.
+  const u32 to_move = ~ComponentBit(order.dst);
+  const PageTable::Residency residency = page_table_.CountMappings(order.start, order.len, to_move);
   MechanismCost total;
-  for (const Run& r : runs) {
-    MechanismCost c = ComputeMechanismCost(kind, model_, machine_, order.socket, r.src,
-                                           order.dst, r.base_pages, r.huge_pages);
-    total.critical += c.critical;
-    total.background += c.background;
+  Bytes bytes;
+  for (u32 c = 0; c < PageTable::kMaxComponents; ++c) {
+    const u64 base_pages = residency.base_pages[c];
+    const u64 huge_pages = residency.huge_pages[c];
+    if (base_pages == 0 && huge_pages == 0) {
+      continue;
+    }
+    MechanismCost cost = ComputeMechanismCost(kind, model_, machine_, order.socket, ComponentId(c),
+                                              order.dst, base_pages, huge_pages);
+    total.critical += cost.critical;
+    total.background += cost.background;
+    bytes += PagesToBytes(base_pages) + HugePagesToBytes(huge_pages);
   }
   if (bytes_out != nullptr) {
     *bytes_out = bytes;
   }
   if (src_out != nullptr) {
-    *src_out = runs.empty() ? kInvalidComponent : runs.front().src;
+    // The source of the first still-to-move mapping in address order.
+    *src_out = kInvalidComponent;
+    if (!bytes.IsZero()) {
+      page_table_.FindMappingOn(order.start, order.len, to_move, src_out);
+    }
   }
   return total;
 }
@@ -189,7 +180,7 @@ bool MigrationEngine::ReclaimFrom(ComponentId component, Bytes bytes_needed, int
           stats_.critical_ns += c.CriticalNs();
           stats_.steps += c.critical;
           frames_.Release(component, size);
-          pte.component = lower;
+          page_table_.SetComponent(addr, pte, lower);
           RecordMigrationBytes(component, size);
           RecordMigrationBytes(lower, size);
           ++stats_.reclaim_demotions;
@@ -215,7 +206,7 @@ bool MigrationEngine::ReclaimFrom(ComponentId component, Bytes bytes_needed, int
 MigrationEngine::CommitOutcome MigrationEngine::CommitMove(const MigrationOrder& order) {
   CommitOutcome out;
   bool reclaim_hopeless = false;  // don't rescan for every page of the range
-  page_table_.ForEachMapping(order.start, order.len, [&](VirtAddr, Bytes size, Pte& pte) {
+  page_table_.ForEachMapping(order.start, order.len, [&](VirtAddr addr, Bytes size, Pte& pte) {
     if (pte.component == order.dst) {
       return;
     }
@@ -239,7 +230,7 @@ MigrationEngine::CommitOutcome MigrationEngine::CommitMove(const MigrationOrder&
     }
     ComponentId src = pte.component;
     frames_.Release(src, size);
-    pte.component = order.dst;
+    page_table_.SetComponent(addr, pte, order.dst);
     pte.Clear(Pte::kWriteTracked);
     RecordMigrationBytes(src, size);
     RecordMigrationBytes(order.dst, size);
@@ -495,20 +486,20 @@ Status MigrationEngine::SubmitAttempt(const MigrationOrder& submitted, u32 attem
     // Stage the copy from a snapshot of the still-to-move pages, taken while
     // the arming TLB flush is fresh. A tracked write forces the §7.2
     // fallback, so no simulated write can change a page between this
-    // snapshot and an async commit.
-    p.staged_copy = CopyRegion(SnapshotCopyRecords(order));
+    // snapshot and an async commit, which expands it.
+    p.staged_pages = SnapshotCopyRecords(order);
   }
   if (obs_ != nullptr && obs_->async_flows) {
     p.flow_id = next_flow_id_++;
     obs_->trace.AddFlowStart("migrate_window", "migration", p.flow_id, arm_start);
   }
-  pending_.push_back(p);
+  pending_.push_back(std::move(p));
   return OkStatus();
 }
 
 void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
                                     double remaining_fraction) {
-  Pending p = pending_[index];
+  Pending p = std::move(pending_[index]);
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
 
   SimNanos exposed = p.cost.critical.unmap_remap_ns + p.cost.critical.page_table_ns;
@@ -595,9 +586,10 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
       // Commit from the staged copy. No write hit the window (the fault
       // would have forced sync), so the snapshot still matches the live
       // contents.
-      stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, p.staged_copy.checksum);
-      stats_.async_copy_bytes += p.staged_copy.bytes;
-      stats_.copy_shards += p.staged_copy.shards;
+      const RegionCopyResult staged = CopyRegion(p.staged_pages);
+      stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, staged.checksum);
+      stats_.async_copy_bytes += staged.bytes;
+      stats_.copy_shards += staged.shards;
       ++stats_.async_copies;
     }
   }
@@ -729,13 +721,13 @@ void MigrationEngine::OnTierFault(const TierFaultEvent& event) {
   // Roll back in-flight orders targeting the dead component.
   for (std::size_t i = 0; i < pending_.size();) {
     if (pending_[i].order.dst == component) {
-      Pending p = pending_[i];
+      const MigrationOrder order = pending_[i].order;
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      DisarmWriteTracking(p.order);
+      DisarmWriteTracking(order);
       ++stats_.rollbacks;
       ++stats_.orders_abandoned;  // offline is permanent: no retry
       Bytes remaining;
-      PlanCost(p.order, kind_, &remaining);
+      PlanCost(order, kind_, &remaining);
       stats_.bytes_abandoned += remaining;
     } else {
       ++i;
@@ -776,7 +768,7 @@ Bytes MigrationEngine::DrainComponent(ComponentId component) {
   // rescans the whole address space, and draining only adds pages to them.
   u32 reclaim_hopeless = 0;
   for (const Vma& vma : address_space_.vmas()) {
-    page_table_.ForEachMapping(vma.start, vma.len, [&](VirtAddr, Bytes size, Pte& pte) {
+    page_table_.ForEachMapping(vma.start, vma.len, [&](VirtAddr addr, Bytes size, Pte& pte) {
       if (pte.component != component) {
         return;
       }
@@ -802,7 +794,7 @@ Bytes MigrationEngine::DrainComponent(ComponentId component) {
         stats_.critical_ns += c.CriticalNs();
         stats_.steps += c.critical;
         frames_.Release(component, size);
-        pte.component = dst;
+        page_table_.SetComponent(addr, pte, dst);
         pte.Clear(Pte::kWriteTracked);
         RecordMigrationBytes(component, size);
         RecordMigrationBytes(dst, size);
@@ -838,6 +830,9 @@ Status MigrationEngine::VerifyInvariants() const {
   }
   if (bad_component) {
     return InternalError("mapped page references an unknown component");
+  }
+  if (Status counts = page_table_.AuditResidencyCounts(); !counts.ok()) {
+    return counts;
   }
   for (ComponentId c{0}; c < machine_.end_component(); ++c) {
     if (resident[c] != frames_.used(c)) {

@@ -179,7 +179,8 @@ class MigrationEngine : public WriteTrackObserver {
   Bytes DrainComponent(ComponentId component);
 
   // Audits the transactional invariants: frame accounting matches the page
-  // table globally and per component, no component is over capacity, no
+  // table globally and per component, every page-table leaf's residency
+  // counts match its entries, no component is over capacity, no
   // page resides on an offline component (unless a drain already reported
   // failure), and in-flight orders do not overlap.
   Status VerifyInvariants() const;
@@ -196,9 +197,10 @@ class MigrationEngine : public WriteTrackObserver {
     SimNanos background_ns;
     MechanismCost cost;  // precomputed aggregate cost
     u32 attempt = 1;     // 1-based try counter for backoff on abort
-    // Staged copy of this region (move_memory_regions only), folded into
-    // the copy checksum on async commit and dropped otherwise.
-    RegionCopyResult staged_copy;
+    // Snapshot of this region's still-to-move pages (move_memory_regions
+    // only), taken at arm time. The async commit expands it with
+    // CopyRegion; a fallback, rollback or abandonment drops it unexpanded.
+    std::vector<PageCopyRecord> staged_pages;
     // Chrome trace flow id linking migrate_arm to the finish span (0 = flow
     // emission disabled).
     u64 flow_id = 0;
@@ -224,10 +226,12 @@ class MigrationEngine : public WriteTrackObserver {
   // the first huge region fits. Supports partial admission.
   Bytes SplitLenForBudget(const MigrationOrder& order, Bytes admit_bytes);
 
-  // Gathers the pages of [start, len) grouped by source component and
+  // Groups the still-to-move pages of [start, len) by source component,
+  // reading whole chunks from the page table's residency counts, and
   // returns the aggregate mechanism cost; out parameters receive totals.
-  // `src_out` (optional) receives the first run's source component —
-  // kInvalidComponent when nothing needs to move.
+  // `src_out` (optional) receives the source component of the first
+  // still-to-move mapping in address order — kInvalidComponent when nothing
+  // needs to move.
   MechanismCost PlanCost(const MigrationOrder& order, MechanismKind kind, Bytes* bytes_out,
                          ComponentId* src_out = nullptr);
 

@@ -35,10 +35,7 @@ ComponentId ComponentOf(PolicyContext& ctx, const HotnessEntry& e) {
 // instead of re-targeting already-moved pages.
 std::pair<VirtAddr, Bytes> SliceOn(PolicyContext& ctx, const HotnessEntry& e,
                                    ComponentId component, Bytes max_len) {
-  const VirtAddr found =
-      ctx.page_table->FindMapping(e.start, e.len, [component](VirtAddr, Bytes, Pte& pte) {
-        return pte.component == component;
-      });
+  const VirtAddr found = ctx.page_table->FindMappingOn(e.start, e.len, ComponentBit(component));
   if (found.IsZero()) {
     return {VirtAddr{}, Bytes{}};
   }
@@ -48,19 +45,19 @@ std::pair<VirtAddr, Bytes> SliceOn(PolicyContext& ctx, const HotnessEntry& e,
 // Finds the first mapping in `e` whose tier rank (seen from `socket`)
 // exceeds `min_rank`; returns {addr, component} or {0, kInvalidComponent}.
 // A large merged region may straddle tiers after partial promotion, so
-// residency must be probed per-mapping, not at the region head.
+// residency must be probed per-mapping, not at the region head; the page
+// table skips every chunk with nothing on the slower components.
 std::pair<VirtAddr, ComponentId> SlowestSliceStart(PolicyContext& ctx, const HotnessEntry& e,
                                                    u32 socket, TierId min_rank) {
   const Machine& machine = *ctx.machine;
+  u32 slower = 0;
+  for (ComponentId c{0}; c < machine.end_component(); ++c) {
+    if (machine.TierRank(socket, c) > min_rank) {
+      slower |= ComponentBit(c);
+    }
+  }
   ComponentId comp = kInvalidComponent;
-  const VirtAddr found =
-      ctx.page_table->FindMapping(e.start, e.len, [&](VirtAddr, Bytes, Pte& pte) {
-        if (machine.TierRank(socket, pte.component) <= min_rank) {
-          return false;
-        }
-        comp = pte.component;
-        return true;
-      });
+  const VirtAddr found = ctx.page_table->FindMappingOn(e.start, e.len, slower, &comp);
   return {found, comp};
 }
 

@@ -370,20 +370,17 @@ void MtmProfiler::RedistributeQuota() {
   const u64 num_ps = NumPageSamples();
   quota_pool_ = 0;  // consumed by the normalization below
   if (regions_.size() >= num_ps) {
-    // Every quota is at least one, so the excess total - num_ps is at least
-    // total - regions, all the quota above one: reclaiming it from the
-    // least-varying regions first leaves every region at one, whatever the
-    // variance order. Merges and splits keep every quota at one, so once
-    // set, the walk has nothing to do until the branch below raises one.
-    if (!quotas_all_one_) {
-      for (auto& [start, region] : regions_) {
-        region.sample_quota = 1;
-      }
-      quotas_all_one_ = true;
-    }
+    // Every quota is one here. The branch below leaves the quotas summing
+    // to num_ps over fewer regions; a merge turns two quotas into at most
+    // their sum, and a split needs two samples, which SelectSamples gives
+    // only a region with a quota of at least two, and halves it. So the
+    // quota above one stays within num_ps minus the region count, zero
+    // here. The exception: a region demoted to the slow tier after
+    // SelectSamples can gain a PEBS-nominated second sample and split from
+    // a quota of one. A quota it leaves above one still spends only the
+    // budget SelectSamples grants.
     return;
   }
-  quotas_all_one_ = false;
   u64 total = 0;
   std::vector<Region*> all;
   all.reserve(regions_.size());

@@ -122,10 +122,6 @@ class MtmProfiler : public Profiler {
   RegionMap regions_;
   double tau_m_current_;
   u64 quota_pool_ = 0;  // samples freed by merges, pending redistribution
-  // Every region's sample quota is one: true from Initialize, kept by
-  // merges (max(1, combined / 2)) and splits, cleared once the under-budget
-  // redistribution may raise one.
-  bool quotas_all_one_ = true;
 
   // Per-interval working state.
   u64 scans_this_interval_ = 0;

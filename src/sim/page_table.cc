@@ -1,6 +1,7 @@
 #include "src/sim/page_table.h"
 
 #include <algorithm>
+#include <sstream>
 
 #include "src/common/logging.h"
 
@@ -30,6 +31,19 @@ PageTable::Directory* PageTable::FindDirectory(VirtAddr addr) {
   return it->get();
 }
 
+PageTable::Chunk* PageTable::FindChunk(VirtAddr addr) {
+  Directory* dir = FindDirectory(addr);
+  return dir == nullptr ? nullptr : &dir->chunks[ChunkIndex(addr)];
+}
+
+u32 PageTable::Leaf::ResidentMask() const {
+  u32 mask = 0;
+  for (u32 c = 0; c < kMaxComponents; ++c) {
+    mask |= resident[c] != 0 ? u32{1} << c : 0;
+  }
+  return mask;
+}
+
 PageTable::Directory& PageTable::EnsureDirectory(VirtAddr addr) {
   if (Directory* dir = FindDirectory(addr); dir != nullptr) {
     return *dir;
@@ -42,6 +56,7 @@ PageTable::Directory& PageTable::EnsureDirectory(VirtAddr addr) {
 }
 
 Status PageTable::MapChunk(VirtAddr start, VirtAddr end, ComponentId component, bool huge) {
+  MTM_CHECK_LT(component.value(), kMaxComponents);
   Chunk& chunk = EnsureDirectory(start).chunks[ChunkIndex(start)];
   if (huge) {
     if (chunk.huge.present()) {
@@ -50,10 +65,8 @@ Status PageTable::MapChunk(VirtAddr start, VirtAddr end, ComponentId component, 
     if (chunk.leaf != nullptr) {
       // A leaf may linger after all its base pages were unmapped; only live
       // entries block a huge mapping.
-      for (const Pte& entry : chunk.leaf->entries) {
-        if (entry.present()) {
-          return AlreadyExistsError("base pages already mapped under huge range");
-        }
+      if (chunk.leaf->ResidentMask() != 0) {
+        return AlreadyExistsError("base pages already mapped under huge range");
       }
       chunk.leaf.reset();
     }
@@ -71,7 +84,7 @@ Status PageTable::MapChunk(VirtAddr start, VirtAddr end, ComponentId component, 
   if (chunk.leaf == nullptr) {
     chunk.leaf = std::make_unique<Leaf>();
   }
-  auto first = chunk.leaf->entries.begin() + (start.Shifted(kPageShift) & (kPagesPerHugePage - 1));
+  auto first = chunk.leaf->entries.begin() + static_cast<std::ptrdiff_t>(PageIndex(start));
   auto last = first + static_cast<std::ptrdiff_t>((end - start) >> kPageShift);
   if (std::any_of(first, last, [](const Pte& pte) { return pte.present(); })) {
     return AlreadyExistsError("page already mapped");
@@ -81,6 +94,7 @@ Status PageTable::MapChunk(VirtAddr start, VirtAddr end, ComponentId component, 
   pte.component = component;
   std::fill(first, last, pte);
   const u64 pages = static_cast<u64>(last - first);
+  chunk.leaf->resident[component.value()] += static_cast<u16>(pages);
   mapped_bytes_ += kPageBytes * pages;
   mapped_base_pages_ += pages;
   return OkStatus();
@@ -111,69 +125,83 @@ Status PageTable::UnmapRange(VirtAddr start, Bytes len) {
   if (!start.IsAligned(kPageSize) || (len.value() & (kPageSize - 1)) != 0) {
     return InvalidArgumentError("unaligned unmap range");
   }
-  VirtAddr addr = start;
   const VirtAddr end = start + len;
-  while (addr < end) {
-    Bytes size;
-    Pte* pte = Find(addr, &size);
-    if (pte == nullptr) {
-      addr += kPageSize;
-      continue;
-    }
-    VirtAddr mapping_start = addr.AlignDown(size.value());
-    if (mapping_start < start || mapping_start + size > end) {
-      return InvalidArgumentError("unmap range splits a mapping");
-    }
-    if (size == kHugePageBytes) {
+  for (VirtAddr addr = start; addr < end;) {
+    Chunk* chunk = FindChunk(addr);
+    if (chunk != nullptr && chunk->huge.present()) {
+      const VirtAddr chunk_start = HugeAlignDown(addr);
+      if (chunk_start < start || chunk_start + kHugePageSize > end) {
+        return InvalidArgumentError("unmap range splits a mapping");
+      }
+      chunk->huge = Pte{};
       mapped_bytes_ -= kHugePageBytes;
       --mapped_huge_pages_;
-    } else {
-      mapped_bytes_ -= kPageBytes;
-      --mapped_base_pages_;
+      addr = chunk_start + kHugePageSize;
+      continue;
     }
-    *pte = Pte{};
-    addr = mapping_start + size;
+    if (chunk != nullptr && chunk->leaf != nullptr) {
+      Pte& pte = chunk->leaf->entries[PageIndex(addr)];
+      if (pte.present()) {
+        --chunk->leaf->resident[pte.component.value()];
+        pte = Pte{};
+        mapped_bytes_ -= kPageBytes;
+        --mapped_base_pages_;
+      }
+    }
+    addr += kPageSize;
   }
   return OkStatus();
 }
 
 Status PageTable::SplitHuge(VirtAddr addr) {
-  Directory* dir = FindDirectory(addr);
-  if (dir == nullptr) {
+  Chunk* chunk = FindChunk(addr);
+  if (chunk == nullptr) {
     return NotFoundError("no mapping");
   }
-  Chunk& chunk = dir->chunks[ChunkIndex(addr)];
-  if (!chunk.huge.present()) {
+  if (!chunk->huge.present()) {
     return FailedPreconditionError("not a huge mapping");
   }
-  Pte copy = chunk.huge;
+  Pte copy = chunk->huge;
   copy.Clear(Pte::kHuge);
-  chunk.huge = Pte{};
-  if (chunk.leaf == nullptr) {
-    chunk.leaf = std::make_unique<Leaf>();
-  }
-  chunk.leaf->entries.fill(copy);
+  chunk->huge = Pte{};
+  // A huge mapping never shares its chunk with a leaf (MapChunk frees an
+  // empty one), so the new leaf holds only the split entries.
+  chunk->leaf = std::make_unique<Leaf>();
+  chunk->leaf->entries.fill(copy);
+  chunk->leaf->resident[copy.component.value()] = kPagesPerHugePage;
   --mapped_huge_pages_;
   mapped_base_pages_ += kPagesPerHugePage;
   return OkStatus();
 }
 
+void PageTable::SetComponent(VirtAddr addr, Pte& pte, ComponentId component) {
+  MTM_CHECK_LT(component.value(), kMaxComponents);
+  MTM_CHECK(pte.present());
+  if (!pte.huge()) {
+    Chunk* chunk = FindChunk(addr);
+    MTM_CHECK(chunk != nullptr && chunk->leaf != nullptr &&
+              &chunk->leaf->entries[PageIndex(addr)] == &pte);
+    --chunk->leaf->resident[pte.component.value()];
+    ++chunk->leaf->resident[component.value()];
+  }
+  pte.component = component;
+}
+
 Pte* PageTable::Find(VirtAddr addr, Bytes* mapping_size) {
-  Directory* dir = FindDirectory(addr);
-  if (dir == nullptr) {
+  Chunk* chunk = FindChunk(addr);
+  if (chunk == nullptr) {
     return nullptr;
   }
-  Chunk& chunk = dir->chunks[ChunkIndex(addr)];
-  if (chunk.huge.present()) {
+  if (chunk->huge.present()) {
     if (mapping_size != nullptr) {
       *mapping_size = kHugePageBytes;
     }
-    return &chunk.huge;
+    return &chunk->huge;
   }
-  if (chunk.leaf == nullptr) {
+  if (chunk->leaf == nullptr) {
     return nullptr;
   }
-  Pte& pte = chunk.leaf->entries[addr.Shifted(kPageShift) & (kPagesPerHugePage - 1)];
+  Pte& pte = chunk->leaf->entries[PageIndex(addr)];
   if (!pte.present()) {
     return nullptr;
   }
@@ -215,8 +243,8 @@ bool PageTable::ScanAccessed(VirtAddr addr, bool* accessed_out) {
   return true;
 }
 
-template <typename Visit>
-VirtAddr PageTable::Walk(VirtAddr start, Bytes len, const Visit& visit) {
+template <typename VisitChunk>
+VirtAddr PageTable::WalkChunks(VirtAddr start, Bytes len, const VisitChunk& visit) {
   const VirtAddr end = start + len;
   for (auto it = LowerBound(dirs_, start.Shifted(kDirShift)); it != dirs_.end(); ++it) {
     Directory& dir = **it;
@@ -227,30 +255,43 @@ VirtAddr PageTable::Walk(VirtAddr start, Bytes len, const Visit& visit) {
         return VirtAddr{};
       }
       Chunk& chunk = dir.chunks[c];
+      VirtAddr found;
       if (chunk.huge.present()) {
-        if (chunk_start >= start && visit(chunk_start, kHugePageBytes, chunk.huge)) {
-          return chunk_start;
+        if (chunk_start < start) {
+          continue;
         }
-        continue;
+        found = visit(chunk_start, chunk, 0, 0);
+      } else if (chunk.leaf != nullptr) {
+        // The base pages starting in [start, end).
+        const u64 first =
+            chunk_start < start ? (PageAlignUp(start) - chunk_start) >> kPageShift : 0;
+        const u64 pages_to_end = (end - chunk_start + kPageSize - 1) >> kPageShift;
+        const u64 last = std::min<u64>(kPagesPerHugePage, pages_to_end);
+        found = visit(chunk_start, chunk, first, last);
       }
-      if (chunk.leaf == nullptr) {
-        continue;
-      }
-      // The first base page starting at or after `start`.
-      u64 p = chunk_start < start ? (PageAlignUp(start) - chunk_start) >> kPageShift : 0;
-      for (; p < kPagesPerHugePage; ++p) {
-        const VirtAddr page_start = chunk_start + p * kPageSize;
-        if (page_start >= end) {
-          return VirtAddr{};
-        }
-        Pte& pte = chunk.leaf->entries[p];
-        if (pte.present() && visit(page_start, kPageBytes, pte)) {
-          return page_start;
-        }
+      if (!found.IsZero()) {
+        return found;
       }
     }
   }
   return VirtAddr{};
+}
+
+template <typename Visit>
+VirtAddr PageTable::Walk(VirtAddr start, Bytes len, const Visit& visit) {
+  return WalkChunks(start, len, [&visit](VirtAddr chunk_start, Chunk& chunk, u64 first, u64 last) {
+    if (chunk.huge.present()) {
+      return visit(chunk_start, kHugePageBytes, chunk.huge) ? chunk_start : VirtAddr{};
+    }
+    for (u64 p = first; p < last; ++p) {
+      Pte& pte = chunk.leaf->entries[p];
+      const VirtAddr page_start = chunk_start + p * kPageSize;
+      if (pte.present() && visit(page_start, kPageBytes, pte)) {
+        return page_start;
+      }
+    }
+    return VirtAddr{};
+  });
 }
 
 VirtAddr PageTable::FindMapping(VirtAddr start, Bytes len,
@@ -273,6 +314,94 @@ void PageTable::ForEachMapping(
     fn(addr, size, pte);
     return false;
   });
+}
+
+VirtAddr PageTable::FindMappingOn(VirtAddr start, Bytes len, u32 component_mask,
+                                  ComponentId* component) const {
+  ComponentId found = kInvalidComponent;
+  const VirtAddr addr = const_cast<PageTable*>(this)->WalkChunks(
+      start, len, [&](VirtAddr chunk_start, const Chunk& chunk, u64 first, u64 last) {
+        if (chunk.huge.present()) {
+          if ((ComponentBit(chunk.huge.component) & component_mask) == 0) {
+            return VirtAddr{};
+          }
+          found = chunk.huge.component;
+          return chunk_start;
+        }
+        if ((chunk.leaf->ResidentMask() & component_mask) == 0) {
+          return VirtAddr{};
+        }
+        for (u64 p = first; p < last; ++p) {
+          const Pte& pte = chunk.leaf->entries[p];
+          if (pte.present() && (ComponentBit(pte.component) & component_mask) != 0) {
+            found = pte.component;
+            return chunk_start + p * kPageSize;
+          }
+        }
+        return VirtAddr{};
+      });
+  if (component != nullptr) {
+    *component = found;
+  }
+  return addr;
+}
+
+PageTable::Residency PageTable::CountMappings(VirtAddr start, Bytes len,
+                                              u32 component_mask) const {
+  Residency counts;
+  const_cast<PageTable*>(this)->WalkChunks(
+      start, len, [&](VirtAddr, const Chunk& chunk, u64 first, u64 last) {
+        if (chunk.huge.present()) {
+          if ((ComponentBit(chunk.huge.component) & component_mask) != 0) {
+            ++counts.huge_pages[chunk.huge.component.value()];
+          }
+          return VirtAddr{};
+        }
+        const Leaf& leaf = *chunk.leaf;
+        if (first == 0 && last == kPagesPerHugePage) {
+          for (u32 c = 0; c < kMaxComponents; ++c) {
+            if ((component_mask >> c) & 1) {
+              counts.base_pages[c] += leaf.resident[c];
+            }
+          }
+          return VirtAddr{};
+        }
+        if ((leaf.ResidentMask() & component_mask) == 0) {
+          return VirtAddr{};
+        }
+        for (u64 p = first; p < last; ++p) {
+          const Pte& pte = leaf.entries[p];
+          if (pte.present() && (ComponentBit(pte.component) & component_mask) != 0) {
+            ++counts.base_pages[pte.component.value()];
+          }
+        }
+        return VirtAddr{};
+      });
+  return counts;
+}
+
+Status PageTable::AuditResidencyCounts() const {
+  for (const auto& dir : dirs_) {
+    for (u64 c = 0; c < kChunksPerDir; ++c) {
+      const Chunk& chunk = dir->chunks[c];
+      if (chunk.leaf == nullptr) {
+        continue;
+      }
+      std::array<u16, kMaxComponents> recount{};
+      for (const Pte& pte : chunk.leaf->entries) {
+        if (pte.present()) {
+          ++recount[pte.component.value()];
+        }
+      }
+      if (recount != chunk.leaf->resident) {
+        std::ostringstream msg;
+        msg << "residency counts of the leaf at 0x" << std::hex
+            << (dir->index << kDirShift) + c * kHugePageSize << " differ from its entries";
+        return InternalError(msg.str());
+      }
+    }
+  }
+  return OkStatus();
 }
 
 u64 PageTable::ArmWriteTracking(VirtAddr start, Bytes len) {

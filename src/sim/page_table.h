@@ -18,6 +18,13 @@
 // one huge-page entry or a 512-entry leaf of base-page entries. Find indexes
 // at most twice after locating the directory, and the range walks
 // (FindMapping, ForEachMapping) skip absent directories and leaves whole.
+//
+// Each leaf also counts its present entries per component. A huge entry
+// names its one component already, so together they let the residency
+// queries (FindMappingOn, CountMappings) skip a chunk with no page on the
+// components asked for, or sum a chunk the range covers whole, without
+// reading its 512 entries. Only MapRange, UnmapRange, SplitHuge and
+// SetComponent change a component, and each keeps the counts exact.
 #pragma once
 
 #include <array>
@@ -77,8 +84,24 @@ inline constexpr u64 MixPayload(u64 payload, VirtAddr addr) {
   return x ^ (x >> 31);
 }
 
+// The bit of `component` in a component mask (FindMappingOn,
+// CountMappings); 0 for an id past the mask, such as kInvalidComponent.
+inline constexpr u32 ComponentBit(ComponentId component) {
+  return component.value() < 32 ? u32{1} << component.value() : 0;
+}
+
 class PageTable {
  public:
+  // Components the table counts residency for: every mapped component id
+  // must lie below it.
+  static constexpr u32 kMaxComponents = 8;
+
+  // Mappings per component, as CountMappings returns them.
+  struct Residency {
+    std::array<u64, kMaxComponents> base_pages{};
+    std::array<u64, kMaxComponents> huge_pages{};
+  };
+
   PageTable() = default;
 
   PageTable(const PageTable&) = delete;
@@ -97,6 +120,11 @@ class PageTable {
   // Converts the 2 MiB huge mapping covering addr into 512 base-page PTEs
   // (all inheriting the huge page's component and A/D bits).
   Status SplitHuge(VirtAddr addr);
+
+  // Moves the present mapping at addr, whose entry is `pte`, onto
+  // `component`. The one way to change a mapped entry's component: it keeps
+  // the leaf's residency counts exact.
+  void SetComponent(VirtAddr addr, Pte& pte, ComponentId component);
 
   // Returns the leaf entry covering addr, or nullptr if not mapped.
   // mapping_size (if non-null) receives 4 KiB or 2 MiB. The entry stays
@@ -132,16 +160,35 @@ class PageTable {
   // Visits the leaf mappings whose start lies in [start, start+len), in
   // address order, until pred(addr, mapping_size, pte) accepts one, and
   // returns that mapping's address; 0 when pred accepts none. pred may
-  // change entries but not map, unmap or split.
+  // change an entry's flags and payload, and its component only through
+  // SetComponent; it may not assign `component` itself, nor map, unmap or
+  // split.
   VirtAddr FindMapping(VirtAddr start, Bytes len,
                        const std::function<bool(VirtAddr, Bytes, Pte&)>& pred);
 
   // Visits every leaf mapping whose start lies in [start, start+len), in
-  // address order: FindMapping with a predicate that accepts none.
+  // address order: FindMapping with a predicate that accepts none. The same
+  // rules hold for fn.
   void ForEachMapping(VirtAddr start, Bytes len,
                       const std::function<void(VirtAddr, Bytes, Pte&)>& fn);
   void ForEachMapping(VirtAddr start, Bytes len,
                       const std::function<void(VirtAddr, Bytes, const Pte&)>& fn) const;
+
+  // The first mapping, in address order, that starts in [start, start+len)
+  // and resides on a component in `component_mask`; 0 when there is none.
+  // `component` (if non-null) receives its component, or kInvalidComponent.
+  // Chunks holding no page on the masked components are skipped whole.
+  VirtAddr FindMappingOn(VirtAddr start, Bytes len, u32 component_mask,
+                         ComponentId* component = nullptr) const;
+
+  // Counts, per component, the mappings that start in [start, start+len)
+  // and reside on a component in `component_mask`. A leaf the range covers
+  // whole is read from its counts.
+  Residency CountMappings(VirtAddr start, Bytes len, u32 component_mask) const;
+
+  // Recounts every leaf's entries per component and checks them against
+  // the kept counts: InternalError naming the first chunk that differs.
+  Status AuditResidencyCounts() const;
 
   Bytes mapped_bytes() const { return mapped_bytes_; }
   u64 mapped_base_pages() const { return mapped_base_pages_; }
@@ -153,6 +200,11 @@ class PageTable {
 
   struct Leaf {
     std::array<Pte, kPagesPerHugePage> entries;
+    // Present entries per component.
+    std::array<u16, kMaxComponents> resident{};
+
+    // The components holding at least one present entry, as a mask.
+    u32 ResidentMask() const;
   };
   // One 2 MiB chunk: a present `huge` entry, or base pages in `leaf`. A
   // leaf may linger empty after its base pages are unmapped.
@@ -168,18 +220,33 @@ class PageTable {
   static u64 ChunkIndex(VirtAddr addr) {
     return addr.Shifted(kHugePageShift) & (kChunksPerDir - 1);
   }
+  static u64 PageIndex(VirtAddr addr) {
+    return addr.Shifted(kPageShift) & (kPagesPerHugePage - 1);
+  }
 
   // The directory for addr: nullptr if absent (FindDirectory), or created
   // on demand (EnsureDirectory).
   Directory* FindDirectory(VirtAddr addr);
   Directory& EnsureDirectory(VirtAddr addr);
 
+  // The chunk covering addr; nullptr if its directory is absent.
+  Chunk* FindChunk(VirtAddr addr);
+
   // Maps [start, end), which lies in one 2 MiB chunk (is the whole chunk
   // when huge); fails with kAlreadyExists, mapping nothing, if any of it is
   // mapped.
   Status MapChunk(VirtAddr start, VirtAddr end, ComponentId component, bool huge);
 
-  // The one leaf walk behind FindMapping and ForEachMapping.
+  // The one chunk walk behind the range queries. Calls
+  // visit(chunk_start, chunk, first, last) for each chunk with a mapping
+  // starting in [start, start+len), in address order: a huge chunk whose
+  // entry starts in the range, or a leaf chunk with the range's pages
+  // [first, last) of it. Stops at, and returns, the first nonzero address
+  // visit returns; 0 when every visit returns 0.
+  template <typename VisitChunk>
+  VirtAddr WalkChunks(VirtAddr start, Bytes len, const VisitChunk& visit);
+
+  // The leaf walk behind FindMapping and ForEachMapping.
   template <typename Visit>
   VirtAddr Walk(VirtAddr start, Bytes len, const Visit& visit);
 

@@ -212,7 +212,7 @@ TEST_F(AccessEngineTest, TlbInvalidatedOnRemap) {
   engine_.Apply(base(), false, 0);
   Pte* pte = page_table_.Find(base());
   ASSERT_EQ(pte->component, local);
-  pte->component = other;
+  page_table_.SetComponent(base(), *pte, other);
   EXPECT_EQ(engine_.Apply(base(), false, 0), other);
 
   // Unmap: the next access faults and first-touch maps the page again.
@@ -228,8 +228,9 @@ TEST_F(AccessEngineTest, TlbInvalidatedOnRemap) {
 
   // Split, then remap one of the new base pages.
   ASSERT_TRUE(page_table_.SplitHuge(huge).ok());
-  page_table_.Find(huge + 5 * kPageSize)->component = third;
-  EXPECT_EQ(engine_.Apply(huge + 5 * kPageSize, false, 0), third);
+  const VirtAddr split_page = huge + 5 * kPageSize;
+  page_table_.SetComponent(split_page, *page_table_.Find(split_page), third);
+  EXPECT_EQ(engine_.Apply(split_page, false, 0), third);
   EXPECT_EQ(engine_.Apply(huge + 6 * kPageSize, false, 0), other);
   EXPECT_EQ(engine_.page_faults(), 2u);
 }

@@ -354,6 +354,29 @@ TEST_F(AdmissionEngineTest, EngineRecordsHistoryEvenWithoutController) {
   EXPECT_EQ(engine_.admission_stats().flip_moves, 1u);  // flip bookkeeping still on
 }
 
+TEST_F(AdmissionEngineTest, MixedSourceOrderBooksItsFirstSource) {
+  // An order whose pages sit on two sources is a promotion or a demotion by
+  // the first source in address order, not by component id: PM1 then
+  // DRAM0, moved to PM0 as seen from socket 0, is a promotion.
+  engine_.set_admission(nullptr, TestTuning());
+  const ComponentId pm1 = machine_.TierOrder(0)[3];
+  VirtAddr start = BuildMapped(MiB(4), pm1);
+  const VirtAddr tail = start + MiB(2).value();
+  page_table_.ForEachMapping(tail, MiB(2), [&](VirtAddr addr, Bytes, Pte& pte) {
+    page_table_.SetComponent(addr, pte, t1_);
+  });
+  frames_.Release(pm1, MiB(2));
+  ASSERT_TRUE(frames_.Reserve(t1_, MiB(2)).ok());
+  ASSERT_LT(t1_, pm1);
+  EXPECT_TRUE(engine_.Submit(MigrationOrder{start, MiB(4), t3_, 0}).ok());
+  EXPECT_EQ(ComponentAt(start), t3_);
+  EXPECT_EQ(ComponentAt(tail), t3_);
+  const RegionMigrationHistory* e = engine_.history().Find(start);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->promotions, 1u);
+  EXPECT_EQ(e->demotions, 0u);
+}
+
 TEST_F(AdmissionEngineTest, PptDefersRePromotionInsideCooldown) {
   AdmissionTuning tuning = TestTuning();
   auto ppt = MakeAdmissionController(AdmissionKind::kPpt, tuning);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "src/common/types.h"
 #include "src/common/units.h"
@@ -195,29 +196,34 @@ TEST_F(MtmProfilerTest, QuotaConservedAtBudget) {
 TEST_F(MtmProfilerTest, OverBudgetQuotasEndAtOne) {
   // Four 16 MiB regions under a budget of eight samples: quotas grow above
   // one while regions are fewer than samples, then splits of the moving hot
-  // range push the region count to the budget, from where every quota must
-  // end at one. tau_m 0 keeps merges from undoing the splits until overhead
-  // control raises it.
-  BuildMapped(MiB(64), ComponentId(0));
+  // range push the region count to the budget. Nothing resets the quotas
+  // there: every one must already be one at each such interval end,
+  // because merges and splits never raise the quota above one past what
+  // the under-budget redistribution left. tau_m 0 keeps merges from undoing
+  // the splits until overhead control raises it. Three hot-range strides
+  // and widths give different split and merge sequences.
+  const VirtAddr start = BuildMapped(MiB(64), ComponentId(0));
   MtmProfiler::Config config = DefaultConfig();
   config.default_region_bytes = MiB(16);
   config.overhead_fraction = 0.0003;
   config.tau_m = 0.0;
-  auto profiler = MakeProfiler(config);
-  ASSERT_EQ(profiler->NumPageSamples(), 8u);
-  VirtAddr start = address_space_.vmas()[0].start;
   bool quota_above_one = false;
   int over_budget_intervals = 0;
-  for (u64 i = 0; i < 30; ++i) {
-    RunInterval(*profiler, start + (i * MiB(5).value()) % MiB(56).value(), MiB(6));
-    const bool over_budget = profiler->regions().size() >= profiler->NumPageSamples();
-    for (const auto& [rs, region] : profiler->regions()) {
-      quota_above_one |= !over_budget && region.sample_quota > 1;
-      if (over_budget) {
-        EXPECT_EQ(region.sample_quota, 1u) << "interval " << i;
+  for (const auto& [stride, hot] : {std::pair{MiB(5), MiB(6)}, std::pair{MiB(3), MiB(10)},
+                                    std::pair{MiB(9), MiB(6)}}) {
+    auto profiler = MakeProfiler(config);
+    ASSERT_EQ(profiler->NumPageSamples(), 8u);
+    for (u64 i = 0; i < 30; ++i) {
+      RunInterval(*profiler, start + (i * stride.value()) % MiB(56).value(), hot);
+      const bool over_budget = profiler->regions().size() >= profiler->NumPageSamples();
+      for (const auto& [rs, region] : profiler->regions()) {
+        quota_above_one |= !over_budget && region.sample_quota > 1;
+        if (over_budget) {
+          EXPECT_EQ(region.sample_quota, 1u) << "stride " << stride << " interval " << i;
+        }
       }
+      over_budget_intervals += over_budget;
     }
-    over_budget_intervals += over_budget;
   }
   EXPECT_TRUE(quota_above_one);
   EXPECT_GT(over_budget_intervals, 0);

@@ -216,9 +216,13 @@ TEST(PageTableTest, GenerationBumpsOnStructuralChange) {
   ASSERT_NE(base, nullptr);
   EXPECT_EQ(size, kPageBytes);
 
-  base->component = ComponentId(2);
+  pt.SetComponent(addr, *base, ComponentId(2));
   EXPECT_EQ(pt.Find(addr)->component, ComponentId(2));
   EXPECT_EQ(pt.Find(addr + kPageSize)->component, ComponentId(1));
+  const PageTable::Residency residency = pt.CountMappings(kBase, kHugePageBytes, ~u32{0});
+  EXPECT_EQ(residency.base_pages[1], kPagesPerHugePage - 1);
+  EXPECT_EQ(residency.base_pages[2], 1u);
+  EXPECT_TRUE(pt.AuditResidencyCounts().ok());
 
   ASSERT_TRUE(pt.UnmapRange(kBase, kHugePageBytes).ok());
   EXPECT_EQ(pt.Find(addr), nullptr);
@@ -251,10 +255,12 @@ TEST(PageTableTest, ScanCostOfLargeTable) {
   EXPECT_EQ(visited, NumPages(MiB(256)));
 }
 
-// Property test: a random interleaving of maps, unmaps and huge-page splits
-// over several 1 GiB windows never corrupts byte accounting, Find and
-// ForEachMapping agree with a shadow model of the live mappings, and
-// FindMapping stops where ForEachMapping first meets its predicate.
+// Property test: a random interleaving of maps, unmaps, huge-page splits and
+// component changes over several 1 GiB windows never corrupts byte
+// accounting or the per-leaf residency counts, Find, ForEachMapping,
+// FindMappingOn and CountMappings agree with a shadow model of the live
+// mappings, and FindMapping stops where ForEachMapping first meets its
+// predicate.
 class PageTableShadow {
  public:
   struct Mapping {
@@ -348,6 +354,37 @@ void ExpectForEachMatches(PageTable& pt, const PageTableShadow& shadow, u64 star
   EXPECT_EQ(const_seen, expected.size());
 }
 
+// Checks FindMappingOn and CountMappings over [start, start+len) against a
+// scan of the shadow for mappings starting there on a masked component.
+void ExpectResidencyMatches(const PageTable& pt, const PageTableShadow& shadow, u64 start, u64 len,
+                            u32 mask) {
+  u64 expected_first = 0;
+  ComponentId expected_component = kInvalidComponent;
+  PageTable::Residency expected;
+  for (auto it = shadow.mappings().lower_bound(start);
+       it != shadow.mappings().end() && it->first < start + len; ++it) {
+    const auto& [size, component] = it->second;
+    if ((ComponentBit(component) & mask) == 0) {
+      continue;
+    }
+    if (expected_first == 0) {
+      expected_first = it->first;
+      expected_component = component;
+    }
+    ++(size == kHugePageBytes ? expected.huge_pages : expected.base_pages)[component.value()];
+  }
+  ComponentId component = kInvalidComponent;
+  EXPECT_EQ(pt.FindMappingOn(VirtAddr(start), Bytes(len), mask, &component),
+            VirtAddr(expected_first))
+      << std::hex << start << "+" << len << " mask " << mask;
+  EXPECT_EQ(component, expected_component) << std::hex << start << "+" << len << " mask " << mask;
+  const PageTable::Residency counts = pt.CountMappings(VirtAddr(start), Bytes(len), mask);
+  EXPECT_EQ(counts.base_pages, expected.base_pages)
+      << std::hex << start << "+" << len << " mask " << mask;
+  EXPECT_EQ(counts.huge_pages, expected.huge_pages)
+      << std::hex << start << "+" << len << " mask " << mask;
+}
+
 // Checks that FindMapping over [start, start+len) returns the first mapping
 // ForEachMapping visits that a random predicate accepts (0 when it accepts
 // none), and that it asks the predicate about no mapping after that one.
@@ -414,7 +451,7 @@ TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
   };
 
   for (int step = 0; step < 3000; ++step) {
-    u64 op = rng.NextBounded(10);
+    u64 op = rng.NextBounded(11);
     if (op < 4) {
       // Map a random range of base or huge pages if it is free.
       bool huge = rng.NextBernoulli(0.4);
@@ -470,6 +507,20 @@ TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
       for (int i = 0; i < 8; ++i) {
         ExpectFindMatches(pt, shadow, random_chunk() + rng.NextBounded(4 * kHugePageSize));
       }
+    } else if (op < 10) {
+      // Move the next mapping, base or huge, to a random component, and
+      // check the residency of its whole chunk.
+      auto it = shadow.mappings().lower_bound(random_chunk() + rng.NextBounded(kHugePageSize));
+      if (it == shadow.mappings().end()) {
+        continue;
+      }
+      auto component = ComponentId(static_cast<u32>(rng.NextBounded(4)));
+      Pte* pte = pt.Find(VirtAddr(it->first));
+      ASSERT_NE(pte, nullptr) << step;
+      pt.SetComponent(VirtAddr(it->first), *pte, component);
+      it->second.component = component;
+      ExpectResidencyMatches(pt, shadow, HugeAlignDown(VirtAddr(it->first)).value(), kHugePageSize,
+                             ~u32{0});
     } else {
       // Scan from an unaligned start: anywhere, near live mappings, or
       // inside one (which is then not visited, since it starts before the
@@ -491,7 +542,14 @@ TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
       len = VirtAddr(start + len).AlignUp(align).value() - start;
       ExpectForEachMatches(pt, shadow, start, len);
       ExpectFindMappingMatches(pt, start, len, predicate_rng);
+      ExpectResidencyMatches(pt, shadow, start, len,
+                             static_cast<u32>(predicate_rng.NextBounded(16)));
+      // Whole chunks: the counts stand in for the entries.
+      ExpectResidencyMatches(pt, shadow, HugeAlignDown(VirtAddr(start)).value(),
+                             HugeAlignUp(Bytes(len)).value(),
+                             static_cast<u32>(predicate_rng.NextBounded(16)));
     }
+    ASSERT_TRUE(pt.AuditResidencyCounts().ok()) << step;
     ASSERT_EQ(pt.mapped_base_pages(), shadow.Count(kPageBytes)) << step;
     ASSERT_EQ(pt.mapped_huge_pages(), shadow.Count(kHugePageBytes)) << step;
     ASSERT_EQ(pt.mapped_bytes(), Bytes(pt.mapped_base_pages() * kPageSize +

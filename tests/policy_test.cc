@@ -145,8 +145,8 @@ TEST_F(PolicyTest, MtmUsesPreferredSocketView) {
 TEST_F(PolicyTest, MtmPartialPromotionTargetsSlowSlice) {
   // A region half-resident in t1 promotes its slow half, not its head.
   HotnessEntry hot = MakeRegion(MiB(4), t3_, 3.0);
-  page_table_.ForEachMapping(hot.start, MiB(2), [&](VirtAddr, Bytes, Pte& pte) {
-    pte.component = t1_;
+  page_table_.ForEachMapping(hot.start, MiB(2), [&](VirtAddr addr, Bytes, Pte& pte) {
+    page_table_.SetComponent(addr, pte, t1_);
   });
   frames_.Release(t3_, MiB(2));
   ASSERT_TRUE(frames_.Reserve(t1_, MiB(2)).ok());
