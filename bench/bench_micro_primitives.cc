@@ -67,9 +67,8 @@ void BM_FullTableScan(benchmark::State& state) {
 BENCHMARK(BM_FullTableScan)->Arg(64)->Arg(256);
 
 void BM_AsyncCopyStage(benchmark::State& state) {
-  // Bench analogue of one move_memory_regions staging window (DESIGN.md
-  // §14): CopyRegion over a 64 MiB snapshot of huge pages, folding the
-  // per-shard checksums in shard order.
+  // Host cost of one move_memory_regions commit (DESIGN.md §14): CopyRegion
+  // over a 64 MiB snapshot of 32 huge pages, one checksum mix per page.
   const u64 huge_pages = 32;
   std::vector<PageCopyRecord> pages;
   Rng rng(9);
@@ -81,8 +80,7 @@ void BM_AsyncCopyStage(benchmark::State& state) {
     RegionCopyResult result = CopyRegion(pages);
     benchmark::DoNotOptimize(result.checksum);
   }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
-                          static_cast<i64>(huge_pages * kHugePageSize));
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(huge_pages));
 }
 BENCHMARK(BM_AsyncCopyStage);
 

@@ -28,7 +28,7 @@ std::string CsvHeader() {
          "migrated_bytes,failed_bytes,sync_fallbacks,reclaim_demotions,"
          "profiler_memory_bytes,avg_regions,avg_hot_bytes,"
          "retries,rollbacks,orders_abandoned,drained_bytes,invariant_violations,"
-         "async_copies,copy_shards,async_copy_bytes,fallback_copy_bytes,copy_checksum";
+         "async_copies,async_copy_bytes,fallback_copy_bytes,copy_checksum";
 }
 
 std::string CsvRow(const RunResult& r) {
@@ -42,8 +42,8 @@ std::string CsvRow(const RunResult& r) {
      << r.migration_stats.retries << ',' << r.migration_stats.rollbacks << ','
      << r.migration_stats.orders_abandoned << ',' << r.migration_stats.drained_bytes << ','
      << r.faults.invariant_violations << ',' << r.migration_stats.async_copies << ','
-     << r.migration_stats.copy_shards << ',' << r.migration_stats.async_copy_bytes << ','
-     << r.migration_stats.fallback_copy_bytes << ',' << r.migration_stats.copy_checksum;
+     << r.migration_stats.async_copy_bytes << ',' << r.migration_stats.fallback_copy_bytes << ','
+     << r.migration_stats.copy_checksum;
   return os.str();
 }
 
@@ -67,7 +67,6 @@ std::string HumanReport(const RunResult& r) {
   if (r.migration_stats.async_copies > 0 || r.migration_stats.sync_fallbacks > 0) {
     // Staged-copy accounting (move_memory_regions only).
     os << "  async copy: " << r.migration_stats.async_copies << " staged commits ("
-       << r.migration_stats.copy_shards << " shards, "
        << ToMiB(r.migration_stats.async_copy_bytes) << " MiB), "
        << ToMiB(r.migration_stats.fallback_copy_bytes) << " MiB re-copied sync, checksum "
        << r.migration_stats.copy_checksum << "\n";

@@ -32,11 +32,11 @@ enum class MechanismKind {
 const char* MechanismKindName(MechanismKind kind);
 
 // True for the mechanism whose copies are executed by helper threads off
-// the critical path (kMoveMemoryRegions): the migration engine stages the
-// region copy at submit for it (CopyRegion in src/migration/async_copy.h)
-// and falls back to synchronous copy when a tracked write lands in the
-// copy window (§7.2). The synchronous mechanisms copy on the critical path
-// and stage nothing.
+// the critical path (kMoveMemoryRegions): the migration engine snapshots
+// the region's pages at submit and copies them at commit (CopyRegion in
+// src/migration/async_copy.h), and falls back to synchronous copy when a
+// tracked write lands in the copy window (§7.2). The synchronous mechanisms
+// copy on the critical path and stage nothing.
 constexpr bool MechanismUsesAsyncCopy(MechanismKind kind) {
   return kind == MechanismKind::kMoveMemoryRegions;
 }

@@ -486,7 +486,7 @@ Status MigrationEngine::SubmitAttempt(const MigrationOrder& submitted, u32 attem
     // Stage the copy from a snapshot of the still-to-move pages, taken while
     // the arming TLB flush is fresh. A tracked write forces the §7.2
     // fallback, so no simulated write can change a page between this
-    // snapshot and an async commit, which expands it.
+    // snapshot and an async commit, which copies it.
     p.staged_pages = SnapshotCopyRecords(order);
   }
   if (obs_ != nullptr && obs_->async_flows) {
@@ -574,22 +574,17 @@ void MigrationEngine::FinishPending(std::size_t index, bool forced_sync,
       // §7.2 synchronous re-copy: the committed contents are re-read from
       // the live payloads on the critical path (charged above), so the
       // post-write values land on the destination — no lost updates.
-      u64 checksum = kCopyChecksumSeed;
-      Bytes resynced;
-      for (const PageCopyRecord& rec : SnapshotCopyRecords(p.order)) {
-        checksum = FoldCopyChecksum(checksum, CopyPageContent(rec));
-        resynced += rec.size;
-      }
-      stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, checksum);
-      stats_.fallback_copy_bytes += resynced;
+      p.staged_pages = SnapshotCopyRecords(p.order);
+    }
+    // An async commit copies the staged snapshot: no write hit the window
+    // (the fault would have forced sync), so it still holds the live
+    // payloads.
+    const RegionCopyResult copy = CopyRegion(p.staged_pages);
+    stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, copy.checksum);
+    if (forced_sync) {
+      stats_.fallback_copy_bytes += copy.bytes;
     } else {
-      // Commit from the staged copy. No write hit the window (the fault
-      // would have forced sync), so the snapshot still matches the live
-      // contents.
-      const RegionCopyResult staged = CopyRegion(p.staged_pages);
-      stats_.copy_checksum = FoldCopyChecksum(stats_.copy_checksum, staged.checksum);
-      stats_.async_copy_bytes += staged.bytes;
-      stats_.copy_shards += staged.shards;
+      stats_.async_copy_bytes += copy.bytes;
       ++stats_.async_copies;
     }
   }

@@ -86,7 +86,6 @@ struct MigrationStats {
 
   // Staged copies (move_memory_regions only; see async_copy.h).
   u64 async_copies = 0;       // regions committed from the staged async copy
-  u64 copy_shards = 0;        // copy shards planned for them
   Bytes async_copy_bytes;     // bytes committed from staged copies
   Bytes fallback_copy_bytes;  // bytes re-copied serially after a §7.2 fault
   u64 copy_checksum = 0;      // fold of every committed region's content checksum
@@ -198,8 +197,9 @@ class MigrationEngine : public WriteTrackObserver {
     MechanismCost cost;  // precomputed aggregate cost
     u32 attempt = 1;     // 1-based try counter for backoff on abort
     // Snapshot of this region's still-to-move pages (move_memory_regions
-    // only), taken at arm time. The async commit expands it with
-    // CopyRegion; a fallback, rollback or abandonment drops it unexpanded.
+    // only), taken at arm time. The async commit copies it with CopyRegion;
+    // the §7.2 fallback re-snapshots the live pages first, and a rollback or
+    // abandonment drops it uncopied.
     std::vector<PageCopyRecord> staged_pages;
     // Chrome trace flow id linking migrate_arm to the finish span (0 = flow
     // emission disabled).

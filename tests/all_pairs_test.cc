@@ -1,8 +1,8 @@
-// Every solution on every workload, against rows recorded before the
-// initialization fault-in took runs: the `mtmsim --format=csv
-// --accesses=1000000` row (exact copy checksum included) plus the
-// per-component application access counts, which count the initialization
-// writes too. One ctest entry per pair, so `ctest -j` spreads them.
+// Every solution on every workload, against recorded rows: the `mtmsim
+// --format=csv --accesses=1000000` row (exact copy checksum included) plus
+// the per-component application access counts, which count the
+// initialization writes too. One ctest entry per pair, so `ctest -j`
+// spreads them.
 #include <gtest/gtest.h>
 
 #include <cctype>

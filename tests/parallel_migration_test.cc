@@ -7,18 +7,21 @@
 //     process, so repeated runs, including under --fault_spec chaos and
 //     the pingpong x ppt adversarial mix, emit byte-identical metrics
 //     JSONL, Chrome trace, and report JSON;
-//   * property: seeded copy-shard invariants (disjoint full coverage,
-//     huge-page clean breaks, shard-order checksum fold), a dropped staged
-//     copy leaves no trace, and §7.2 write-fault fallback properties (a
-//     write inside an in-flight window forces sync fallback exactly once,
-//     no lost updates, the fallback counter is monotone, checksums match
-//     serial references).
+//   * property: the region copy checksum changes with any one record's
+//     payload, source or size and with record order, a dropped staged copy
+//     leaves no trace, and §7.2 write-fault fallback properties (a write
+//     inside an in-flight window forces sync fallback exactly once, no lost
+//     updates, the fallback re-reads the live contents, the fallback counter
+//     is monotone, both commit paths give the serial reference checksum).
 //
 // Several test names predate the removal of the copy helper threads, when
-// they compared thread counts; the names are kept so test ids stay stable.
+// they compared thread counts, and of the copy-shard plan
+// (CopyShardPlanTest); the names are kept so test ids stay stable.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/fault_injection.h"
@@ -50,7 +53,6 @@ namespace {
 void ExpectSameCopyStats(const MigrationStats& a, const MigrationStats& b,
                          const std::string& label) {
   EXPECT_EQ(a.async_copies, b.async_copies) << label;
-  EXPECT_EQ(a.copy_shards, b.copy_shards) << label;
   EXPECT_EQ(a.async_copy_bytes, b.async_copy_bytes) << label;
   EXPECT_EQ(a.fallback_copy_bytes, b.fallback_copy_bytes) << label;
   EXPECT_EQ(a.copy_checksum, b.copy_checksum) << label;
@@ -70,7 +72,6 @@ TEST(ParallelMigrationTest, MigrateThreadsProduceByteIdenticalArtifacts) {
   // nothing about them: staged commits and §7.2 write-fault fallbacks.
   EXPECT_GT(first.migration.async_copies, 0u);
   EXPECT_GT(first.migration.sync_fallbacks, 0u);
-  EXPECT_GT(first.migration.copy_shards, 0u);
   EXPECT_NE(first.migration.copy_checksum, 0u);
   // A second run in the same process must not see anything the first left
   // behind.
@@ -89,7 +90,6 @@ TEST(ParallelMigrationTest, SerialRunMatchesPreAsyncGoldens) {
   // fallbacks.
   EXPECT_GT(serial.migration.async_copies, 0u);
   EXPECT_GT(serial.migration.sync_fallbacks, 0u);
-  EXPECT_GT(serial.migration.copy_shards, 0u);
   EXPECT_NE(serial.migration.copy_checksum, 0u);
 }
 
@@ -115,7 +115,7 @@ TEST(ParallelMigrationTest, MigrateThreadsByteIdenticalUnderChaos) {
   ExpectSameArtifacts(first, RunGupsSmoke(spec), "chaos replay");
 }
 
-// ------------------------------------------------ shard-plan properties --
+// -------------------------------------------- copy checksum properties --
 
 // Random still-to-move snapshot: huge frames in address order, each either
 // one 2 MiB record or a random subset of its 4 KiB base pages (a region
@@ -140,76 +140,84 @@ std::vector<PageCopyRecord> RandomSnapshot(Rng& rng) {
   return pages;
 }
 
-TEST(CopyShardPlanTest, ShardsPartitionTheSnapshot) {
-  Rng rng(0xC0FFEE);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<PageCopyRecord> pages = RandomSnapshot(rng);
-    std::vector<CopyShard> shards = PlanCopyShards(pages, Bytes{});
-    if (pages.empty()) {
-      EXPECT_TRUE(shards.empty());
-      continue;
-    }
-    // Disjoint full coverage: shard index ranges are contiguous, in order,
-    // and cover [0, pages.size()) exactly once.
-    std::size_t next = 0;
-    Bytes total;
-    for (const CopyShard& shard : shards) {
-      EXPECT_EQ(shard.first, next);
-      EXPECT_GT(shard.count, 0u);
-      Bytes bytes;
-      for (std::size_t i = 0; i < shard.count; ++i) {
-        bytes += pages[shard.first + i].size;
-      }
-      EXPECT_EQ(bytes, shard.bytes);
-      next = shard.first + shard.count;
-      total += shard.bytes;
-    }
-    EXPECT_EQ(next, pages.size());
-    Bytes expected;
-    for (const PageCopyRecord& page : pages) {
-      expected += page.size;
-    }
-    EXPECT_EQ(total, expected);
-  }
-}
+u64 RegionChecksum(const std::vector<PageCopyRecord>& pages) { return CopyRegion(pages).checksum; }
 
-TEST(CopyShardPlanTest, ShardsBreakOnlyAtHugeFrameBoundaries) {
-  Rng rng(0xBEEF);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<PageCopyRecord> pages = RandomSnapshot(rng);
-    std::vector<CopyShard> shards = PlanCopyShards(pages, Bytes{});
-    for (std::size_t s = 1; s < shards.size(); ++s) {
-      // Clean break: the first record of a shard starts a new 2 MiB huge
-      // frame, so one huge page's base-page remnants never split.
-      const PageCopyRecord& head = pages[shards[s].first];
-      const PageCopyRecord& prev = pages[shards[s].first - 1];
-      EXPECT_NE(HugeAlignDown(head.addr), HugeAlignDown(prev.addr))
-          << "shard " << s << " splits a huge frame";
-    }
-  }
-}
-
-TEST(CopyShardPlanTest, JoinResultIndependentOfThreadCount) {
+TEST(CopyChecksumTest, RegionIsTheInOrderFoldOfItsRecords) {
   Rng rng(0xFEED);
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<PageCopyRecord> pages = RandomSnapshot(rng);
-    // Shard-order merge reference, built from the plan by hand.
-    std::vector<CopyShard> shards = PlanCopyShards(pages, Bytes{});
     u64 expected = kCopyChecksumSeed;
     Bytes bytes;
-    for (const CopyShard& shard : shards) {
-      u64 piece = kCopyChecksumSeed;
-      for (std::size_t i = 0; i < shard.count; ++i) {
-        piece = FoldCopyChecksum(piece, CopyPageContent(pages[shard.first + i]));
-      }
-      expected = FoldCopyChecksum(expected, piece);
-      bytes += shard.bytes;
+    for (const PageCopyRecord& page : pages) {
+      expected = FoldCopyChecksum(expected, CopyPageContent(page));
+      bytes += page.size;
     }
     RegionCopyResult result = CopyRegion(pages);
     EXPECT_EQ(result.checksum, expected) << "trial " << trial;
-    EXPECT_EQ(result.shards, shards.size()) << "trial " << trial;
     EXPECT_EQ(result.bytes, bytes) << "trial " << trial;
   }
+}
+
+TEST(CopyChecksumTest, ChangesWithAnyOneRecordsPayload) {
+  // A lost update anywhere in the region shows: flipping one bit of any one
+  // record's payload, or dropping the record, changes the checksum.
+  Rng rng(0xC0FFEE);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::vector<PageCopyRecord> pages = RandomSnapshot(rng);
+    const u64 base = RegionChecksum(pages);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      std::vector<PageCopyRecord> changed = pages;
+      changed[i].payload ^= u64{1} << rng.NextBounded(64);
+      EXPECT_NE(RegionChecksum(changed), base) << "trial " << trial << " record " << i;
+      changed = pages;
+      changed.erase(changed.begin() + static_cast<std::ptrdiff_t>(i));
+      EXPECT_NE(RegionChecksum(changed), base) << "trial " << trial << " dropped " << i;
+    }
+  }
+}
+
+TEST(CopyChecksumTest, ChangesWithRecordOrder) {
+  Rng rng(0xBEEF);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::vector<PageCopyRecord> pages = RandomSnapshot(rng);
+    const u64 base = RegionChecksum(pages);
+    for (std::size_t i = 1; i < pages.size(); ++i) {
+      std::vector<PageCopyRecord> swapped = pages;
+      std::swap(swapped[i - 1], swapped[i]);
+      EXPECT_NE(RegionChecksum(swapped), base) << "trial " << trial << " swap at " << i;
+    }
+  }
+}
+
+TEST(CopyChecksumTest, ChangesWithRecordSource) {
+  // A commit that copied from the wrong component shows.
+  Rng rng(0x5A5A);
+  for (int trial = 0; trial < 10; ++trial) {
+    const std::vector<PageCopyRecord> pages = RandomSnapshot(rng);
+    const u64 base = RegionChecksum(pages);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      std::vector<PageCopyRecord> moved = pages;
+      moved[i].src = ComponentId{(moved[i].src.value() + 1) % 4};
+      EXPECT_NE(RegionChecksum(moved), base) << "trial " << trial << " record " << i;
+    }
+  }
+}
+
+TEST(CopyChecksumTest, SizeAndAddressDoNotAlias) {
+  // Same payload and source: a huge record differs from the base record at
+  // its address, and a base record from its neighbours.
+  const VirtAddr addr = VirtAddr(GiB(1).value());
+  const u64 payload = 0x1234'5678'9abc'def0ull;
+  const PageCopyRecord base{addr, kPageBytes, ComponentId{2}, payload};
+  const PageCopyRecord huge{addr, kHugePageBytes, ComponentId{2}, payload};
+  const PageCopyRecord next{addr + kPageSize, kPageBytes, ComponentId{2}, payload};
+  const PageCopyRecord prev{VirtAddr(addr.value() - kPageSize), kPageBytes, ComponentId{2},
+                            payload};
+  EXPECT_NE(CopyPageContent(huge), CopyPageContent(base));
+  EXPECT_NE(CopyPageContent(next), CopyPageContent(base));
+  EXPECT_NE(CopyPageContent(prev), CopyPageContent(base));
+  EXPECT_NE(CopyPageContent(next), CopyPageContent(huge));
+  EXPECT_NE(RegionChecksum({huge}), RegionChecksum({base}));
 }
 
 TEST(CopyShardPlanTest, CancelDiscardsWithoutSideEffects) {
@@ -240,7 +248,6 @@ TEST(CopyShardPlanTest, CancelDiscardsWithoutSideEffects) {
   EXPECT_EQ(engine.pending(), 0u);
   EXPECT_EQ(engine.stats().rollbacks, 1u);
   EXPECT_EQ(engine.stats().async_copies, 0u);
-  EXPECT_EQ(engine.stats().copy_shards, 0u);
   EXPECT_EQ(engine.stats().async_copy_bytes, Bytes{});
   EXPECT_EQ(engine.stats().copy_checksum, 0u);
   const Pte* pte = page_table.Find(start);
@@ -286,22 +293,8 @@ class AsyncFallbackTest : public ::testing::Test {
     return records;
   }
 
-  // What stats().copy_checksum holds after one staged (async) commit.
-  static u64 StagedChecksum(const std::vector<PageCopyRecord>& records) {
-    std::vector<CopyShard> shards = PlanCopyShards(records, Bytes{});
-    u64 region = kCopyChecksumSeed;
-    for (const CopyShard& shard : shards) {
-      u64 piece = kCopyChecksumSeed;
-      for (std::size_t i = 0; i < shard.count; ++i) {
-        piece = FoldCopyChecksum(piece, CopyPageContent(records[shard.first + i]));
-      }
-      region = FoldCopyChecksum(region, piece);
-    }
-    return FoldCopyChecksum(0, region);
-  }
-
-  // What stats().copy_checksum holds after one §7.2 serial re-copy (flat
-  // fold, no shard structure: the fallback is a single synchronous pass).
+  // What stats().copy_checksum holds after one committed region copy,
+  // async or §7.2 fallback: the flat in-order fold, built by hand.
   static u64 SerialChecksum(const std::vector<PageCopyRecord>& records) {
     u64 region = kCopyChecksumSeed;
     for (const PageCopyRecord& record : records) {
@@ -341,25 +334,65 @@ TEST_F(AsyncFallbackTest, FallbackChecksumMatchesSerialReference) {
   MigrationEngine engine = MakeEngine();
   ASSERT_TRUE(engine.Submit(MigrationOrder{start, MiB(2), t1_, 0}).ok());
   // No write mutated any payload between submit and fault, so the serial
-  // re-copy reads exactly the staged contents — and must still drop the
-  // staged result and re-fold flat (§7.2 "must be copied again").
+  // re-copy reads exactly the staged contents.
   u64 expected = SerialChecksum(LiveRecords(start, MiB(2), t1_));
   engine.OnWriteTrackFault(start, 0);
   EXPECT_EQ(engine.stats().copy_checksum, expected);
 }
 
-TEST_F(AsyncFallbackTest, AsyncCommitChecksumMatchesShardMergeReference) {
-  VirtAddr start = BuildMapped(MiB(8), t3_, true);
+TEST_F(AsyncFallbackTest, FallbackCopiesLiveNotStagedContents) {
+  // §7.2 "must be copied again": the fallback copies the pages as they are
+  // at the fault, not the arm-time snapshot, so a stale commit shows.
+  VirtAddr start = BuildMapped(MiB(4), t3_, false);
   MigrationEngine engine = MakeEngine();
-  ASSERT_TRUE(engine.Submit(MigrationOrder{start, MiB(8), t1_, 0}).ok());
-  u64 expected = StagedChecksum(LiveRecords(start, MiB(8), t1_));
-  clock_.AdvanceApp(Seconds(1));
-  engine.Poll();
-  EXPECT_EQ(engine.pending(), 0u);
-  EXPECT_EQ(engine.stats().async_copies, 1u);
-  EXPECT_EQ(engine.stats().copy_shards, 4u);  // one shard per huge frame
-  EXPECT_EQ(engine.stats().async_copy_bytes, MiB(8));
-  EXPECT_EQ(engine.stats().copy_checksum, expected);
+  ASSERT_TRUE(engine.Submit(MigrationOrder{start, MiB(2), t1_, 0}).ok());
+  const u64 staged = SerialChecksum(LiveRecords(start, MiB(2), t1_));
+  Pte* pte = page_table_.Find(start + 7 * kPageSize);
+  ASSERT_NE(pte, nullptr);
+  pte->payload = MixPayload(pte->payload, start);
+  const u64 live = SerialChecksum(LiveRecords(start, MiB(2), t1_));
+  ASSERT_NE(live, staged);
+  engine.OnWriteTrackFault(start, 0);
+  EXPECT_EQ(engine.stats().copy_checksum, live);
+}
+
+TEST_F(AsyncFallbackTest, AsyncCommitAndFallbackGiveTheSameChecksum) {
+  // The same live records, committed once from the staged copy and once by
+  // the §7.2 fallback, fold to the same checksum: one copy path.
+  u64 checksums[2] = {0, 0};
+  for (int fallback = 0; fallback < 2; ++fallback) {
+    SimClock clock;
+    PageTable page_table;
+    AddressSpace address_space;
+    FrameAllocator frames(machine_);
+    MemCounters counters(machine_.num_components());
+    u32 vma = address_space.Allocate(MiB(8), true, "w");
+    VirtAddr start = address_space.vma(vma).start;
+    ASSERT_TRUE(page_table.MapRange(start, MiB(4), t3_, true).ok());
+    ASSERT_TRUE(page_table.MapRange(start + MiB(4).value(), MiB(4), t3_, false).ok());
+    ASSERT_TRUE(frames.Reserve(t3_, MiB(8)).ok());
+    u64 salt = 0;
+    page_table.ForEachMapping(start, MiB(8), [&](VirtAddr addr, Bytes, Pte& pte) {
+      pte.payload = MixPayload(++salt, addr);
+    });
+    MigrationEngine engine(machine_, page_table, frames, address_space, counters, clock,
+                           MechanismKind::kMoveMemoryRegions);
+    ASSERT_TRUE(engine.Submit(MigrationOrder{start, MiB(8), t1_, 0}).ok());
+    if (fallback == 1) {
+      engine.OnWriteTrackFault(start + MiB(5).value(), 0);
+      EXPECT_EQ(engine.stats().sync_fallbacks, 1u);
+      EXPECT_EQ(engine.stats().fallback_copy_bytes, MiB(8));
+    } else {
+      clock.AdvanceApp(Seconds(1));
+      engine.Poll();
+      EXPECT_EQ(engine.stats().async_copies, 1u);
+      EXPECT_EQ(engine.stats().async_copy_bytes, MiB(8));
+    }
+    EXPECT_EQ(engine.pending(), 0u);
+    checksums[fallback] = engine.stats().copy_checksum;
+  }
+  EXPECT_NE(checksums[0], 0u);
+  EXPECT_EQ(checksums[0], checksums[1]);
 }
 
 TEST_F(AsyncFallbackTest, EngineChecksumsIndependentOfMigrateThreads) {

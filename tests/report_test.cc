@@ -25,7 +25,6 @@ RunResult SampleResult() {
   r.migration_stats.bytes_migrated = MiB(64);
   r.migration_stats.sync_fallbacks = 3;
   r.migration_stats.async_copies = 5;
-  r.migration_stats.copy_shards = 12;
   r.migration_stats.async_copy_bytes = MiB(48);
   r.migration_stats.fallback_copy_bytes = MiB(16);
   r.migration_stats.copy_checksum = 0xDEADBEEF;
