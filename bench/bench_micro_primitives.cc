@@ -74,7 +74,7 @@ void BM_AsyncCopyStage(benchmark::State& state) {
   Rng rng(9);
   for (u64 h = 0; h < huge_pages; ++h) {
     pages.push_back(PageCopyRecord{kBase + h * kHugePageSize, kHugePageBytes, ComponentId(2),
-                                   rng.Next()});
+                                   static_cast<u32>(rng.Next())});
   }
   for (auto _ : state) {
     RegionCopyResult result = CopyRegion(pages);

@@ -57,7 +57,7 @@ class ThresholdPolicy : public TieringPolicy {
       if (pte == nullptr) {
         continue;
       }
-      u32 rank = ctx.machine->TierRank(e.preferred_socket, pte->component).value();
+      u32 rank = ctx.machine->TierRank(e.preferred_socket, pte->component()).value();
       if (rank == 0) {
         continue;
       }

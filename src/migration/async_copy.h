@@ -31,8 +31,9 @@ struct PageCopyRecord {
   VirtAddr addr;
   Bytes size;                            // 4 KiB base or 2 MiB huge
   ComponentId src = kInvalidComponent;   // resident component at staging time
-  u64 payload = 0;                       // simulated contents (Pte::payload)
+  u32 payload = 0;                       // simulated contents (Pte::payload)
 };
+static_assert(sizeof(PageCopyRecord) == 24);
 
 // Outcome of one region copy.
 struct RegionCopyResult {

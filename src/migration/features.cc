@@ -11,16 +11,6 @@
 namespace mtm {
 namespace {
 
-// Residency probe shared with the policies: the head mapping, falling back
-// to the range midpoint (a merged region may start with an unmapped hole).
-ComponentId ResidentComponent(const PolicyContext& ctx, const HotnessEntry& e) {
-  const Pte* pte = ctx.page_table->Find(e.start);
-  if (pte == nullptr) {
-    pte = ctx.page_table->Find(e.start + (e.len / 2).value());
-  }
-  return pte == nullptr ? kInvalidComponent : pte->component;
-}
-
 // Sim-time distance from the region's most recent committed move,
 // normalized by the profiling interval and capped at 32 intervals. Never
 // migrated (or no history wired in) saturates to 1.0.
@@ -58,7 +48,7 @@ std::vector<FeatureVector> BuildFeatures(const ProfileOutput& profile, const Pol
     f.start = e.start;
     f.len = e.len;
     f.preferred_socket = e.preferred_socket;
-    f.resident = ResidentComponent(ctx, e);
+    f.resident = ctx.page_table->RangeComponent(e.start, e.len);
     const auto& tiers = machine.TierOrder(e.preferred_socket);
     // Unmapped regions rank below the slowest tier: nothing to promote.
     f.tier_rank = f.resident == kInvalidComponent

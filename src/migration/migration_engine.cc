@@ -143,7 +143,7 @@ bool MigrationEngine::ReclaimFrom(ComponentId component, Bytes bytes_needed, int
         if (frames_.free_bytes(component) >= target) {
           return;
         }
-        if (pte.component != component) {
+        if (pte.component() != component) {
           return;
         }
         if (pass == 0 && pte.accessed()) {
@@ -207,7 +207,7 @@ MigrationEngine::CommitOutcome MigrationEngine::CommitMove(const MigrationOrder&
   CommitOutcome out;
   bool reclaim_hopeless = false;  // don't rescan for every page of the range
   page_table_.ForEachMapping(order.start, order.len, [&](VirtAddr addr, Bytes size, Pte& pte) {
-    if (pte.component == order.dst) {
+    if (pte.component() == order.dst) {
       return;
     }
     if (injector_ != nullptr && injector_->ShouldFail(FaultSite::kAllocation)) {
@@ -228,7 +228,7 @@ MigrationEngine::CommitOutcome MigrationEngine::CommitMove(const MigrationOrder&
       out.failed_space += size;
       return;
     }
-    ComponentId src = pte.component;
+    ComponentId src = pte.component();
     frames_.Release(src, size);
     page_table_.SetComponent(addr, pte, order.dst);
     pte.Clear(Pte::kWriteTracked);
@@ -257,10 +257,10 @@ std::vector<PageCopyRecord> MigrationEngine::SnapshotCopyRecords(
   std::vector<PageCopyRecord> records;
   const PageTable& pt = page_table_;
   pt.ForEachMapping(order.start, order.len, [&](VirtAddr addr, Bytes size, const Pte& pte) {
-    if (pte.component == order.dst) {
+    if (pte.component() == order.dst) {
       return;  // already resident: nothing to copy
     }
-    records.push_back(PageCopyRecord{addr, size, pte.component, pte.payload});
+    records.push_back(PageCopyRecord{addr, size, pte.component(), pte.payload});
   });
   return records;
 }
@@ -342,7 +342,7 @@ Bytes MigrationEngine::SplitLenForBudget(const MigrationOrder& order, Bytes admi
   // Per-huge-region to-move bytes, in address order (std::map).
   std::map<VirtAddr, Bytes> chunks;
   page_table_.ForEachMapping(order.start, order.len, [&](VirtAddr addr, Bytes size, Pte& pte) {
-    if (pte.component == order.dst) {
+    if (pte.component() == order.dst) {
       return;  // already resident: free to keep in the prefix
     }
     chunks[HugeAlignDown(addr)] += size;
@@ -764,7 +764,7 @@ Bytes MigrationEngine::DrainComponent(ComponentId component) {
   u32 reclaim_hopeless = 0;
   for (const Vma& vma : address_space_.vmas()) {
     page_table_.ForEachMapping(vma.start, vma.len, [&](VirtAddr addr, Bytes size, Pte& pte) {
-      if (pte.component != component) {
+      if (pte.component() != component) {
         return;
       }
       for (ComponentId dst : targets) {
@@ -816,8 +816,8 @@ Status MigrationEngine::VerifyInvariants() const {
   const PageTable& pt = page_table_;
   for (const Vma& vma : address_space_.vmas()) {
     pt.ForEachMapping(vma.start, vma.len, [&](VirtAddr, Bytes size, const Pte& pte) {
-      if (pte.component < machine_.end_component()) {
-        resident[pte.component] += size;
+      if (pte.component() < machine_.end_component()) {
+        resident[pte.component()] += size;
       } else {
         bad_component = true;
       }

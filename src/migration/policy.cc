@@ -21,14 +21,6 @@ i64 FramesCapacity(PolicyContext& ctx, ComponentId c) {
   return static_cast<i64>(ctx.frames->capacity(c).value());
 }
 
-ComponentId ComponentOf(PolicyContext& ctx, const HotnessEntry& e) {
-  const Pte* pte = ctx.page_table->Find(e.start);
-  if (pte == nullptr) {
-    pte = ctx.page_table->Find(e.start + (e.len / 2).value());
-  }
-  return pte == nullptr ? kInvalidComponent : pte->component;
-}
-
 // Finds the first mapping in `e` residing on `component` and returns a
 // slice of at most max_len from there; len 0 when none. Lets partial
 // promotions/demotions of large merged regions progress across intervals
@@ -236,7 +228,7 @@ std::vector<MigrationOrder> AutoNumaPolicy::Decide(const ProfileOutput& profile,
     if (budget <= 0) {
       break;
     }
-    ComponentId cur = ComponentOf(ctx, *e);
+    ComponentId cur = ctx.page_table->RangeComponent(e->start, e->len);
     if (cur == kInvalidComponent) {
       continue;
     }
@@ -280,7 +272,7 @@ std::vector<MigrationOrder> AutoTieringPolicy::Decide(const ProfileOutput& profi
     if (e.hotness <= 0.0) {
       continue;
     }
-    ComponentId cur = ComponentOf(ctx, e);
+    ComponentId cur = ctx.page_table->RangeComponent(e.start, e.len);
     if (cur == kInvalidComponent) {
       continue;
     }
@@ -326,7 +318,7 @@ std::vector<MigrationOrder> HememPolicy::Decide(const ProfileOutput& profile,
     if (budget <= 0) {
       break;
     }
-    ComponentId cur = ComponentOf(ctx, *e);
+    ComponentId cur = ctx.page_table->RangeComponent(e->start, e->len);
     if (cur == kInvalidComponent || cur == dram) {
       continue;
     }

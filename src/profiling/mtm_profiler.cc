@@ -49,17 +49,8 @@ void MtmProfiler::Initialize() {
   }
 }
 
-ComponentId MtmProfiler::RegionComponent(const Region& r) const {
-  const Pte* pte = page_table_.Find(r.start);
-  if (pte == nullptr) {
-    // Probe the middle as well; a region may have an unmapped head.
-    pte = page_table_.Find(r.start + r.bytes() / 2);
-  }
-  return pte == nullptr ? kInvalidComponent : pte->component;
-}
-
 bool MtmProfiler::IsSlowTierRegion(const Region& r) const {
-  ComponentId c = RegionComponent(r);
+  ComponentId c = page_table_.RangeComponent(r.start, r.bytes());
   return c != kInvalidComponent && machine_.IsSlowestTier(c);
 }
 
@@ -286,7 +277,8 @@ void MtmProfiler::MergePass(ProfileOutput& out) {
     // test costs two page-table lookups, so it runs only when every cheap
     // test has passed.
     if (adjacent && similar && both_profiled && !split_worthy &&
-        RegionComponent(a) == RegionComponent(b)) {
+        page_table_.RangeComponent(a.start, a.bytes()) ==
+            page_table_.RangeComponent(b.start, b.bytes())) {
       // Combined sample total is halved, floor one (§5.2); the freed quota
       // goes to the redistribution pool.
       u32 combined = a.sample_quota + b.sample_quota;

@@ -93,7 +93,6 @@ class MtmProfiler : public Profiler {
   // Effective per-scan cost including the amortized hint fault (§6.2).
   double EffectiveScanCost() const;
 
-  ComponentId RegionComponent(const Region& r) const;
   bool IsSlowTierRegion(const Region& r) const;
 
   void SelectSamples();

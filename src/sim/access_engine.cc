@@ -118,7 +118,7 @@ ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
     pte->payload = MixPayload(pte->payload, addr);
   }
 
-  ComponentId component = pte->component;
+  ComponentId component = pte->component();
   Charge(addr, component, socket, is_write);
   return component;
 }

@@ -73,7 +73,7 @@ Status PageTable::MapChunk(VirtAddr start, VirtAddr end, ComponentId component, 
     chunk.huge = Pte{};
     chunk.huge.Set(Pte::kPresent);
     chunk.huge.Set(Pte::kHuge);
-    chunk.huge.component = component;
+    chunk.huge.component_ = static_cast<u8>(component.value());
     mapped_bytes_ += kHugePageBytes;
     ++mapped_huge_pages_;
     return OkStatus();
@@ -91,7 +91,7 @@ Status PageTable::MapChunk(VirtAddr start, VirtAddr end, ComponentId component, 
   }
   Pte pte;
   pte.Set(Pte::kPresent);
-  pte.component = component;
+  pte.component_ = static_cast<u8>(component.value());
   std::fill(first, last, pte);
   const u64 pages = static_cast<u64>(last - first);
   chunk.leaf->resident[component.value()] += static_cast<u16>(pages);
@@ -142,7 +142,7 @@ Status PageTable::UnmapRange(VirtAddr start, Bytes len) {
     if (chunk != nullptr && chunk->leaf != nullptr) {
       Pte& pte = chunk->leaf->entries[PageIndex(addr)];
       if (pte.present()) {
-        --chunk->leaf->resident[pte.component.value()];
+        --chunk->leaf->resident[pte.component_];
         pte = Pte{};
         mapped_bytes_ -= kPageBytes;
         --mapped_base_pages_;
@@ -168,7 +168,7 @@ Status PageTable::SplitHuge(VirtAddr addr) {
   // empty one), so the new leaf holds only the split entries.
   chunk->leaf = std::make_unique<Leaf>();
   chunk->leaf->entries.fill(copy);
-  chunk->leaf->resident[copy.component.value()] = kPagesPerHugePage;
+  chunk->leaf->resident[copy.component_] = kPagesPerHugePage;
   --mapped_huge_pages_;
   mapped_base_pages_ += kPagesPerHugePage;
   return OkStatus();
@@ -181,10 +181,10 @@ void PageTable::SetComponent(VirtAddr addr, Pte& pte, ComponentId component) {
     Chunk* chunk = FindChunk(addr);
     MTM_CHECK(chunk != nullptr && chunk->leaf != nullptr &&
               &chunk->leaf->entries[PageIndex(addr)] == &pte);
-    --chunk->leaf->resident[pte.component.value()];
+    --chunk->leaf->resident[pte.component_];
     ++chunk->leaf->resident[component.value()];
   }
-  pte.component = component;
+  pte.component_ = static_cast<u8>(component.value());
 }
 
 Pte* PageTable::Find(VirtAddr addr, Bytes* mapping_size) {
@@ -213,6 +213,14 @@ Pte* PageTable::Find(VirtAddr addr, Bytes* mapping_size) {
 
 const Pte* PageTable::Find(VirtAddr addr, Bytes* mapping_size) const {
   return const_cast<PageTable*>(this)->Find(addr, mapping_size);
+}
+
+ComponentId PageTable::RangeComponent(VirtAddr start, Bytes len) const {
+  const Pte* pte = Find(start);
+  if (pte == nullptr) {
+    pte = Find(start + len / 2);
+  }
+  return pte == nullptr ? kInvalidComponent : pte->component();
 }
 
 PageTable::TouchResult PageTable::Touch(VirtAddr addr, bool is_write, Pte** entry_out) {
@@ -322,10 +330,10 @@ VirtAddr PageTable::FindMappingOn(VirtAddr start, Bytes len, u32 component_mask,
   const VirtAddr addr = const_cast<PageTable*>(this)->WalkChunks(
       start, len, [&](VirtAddr chunk_start, const Chunk& chunk, u64 first, u64 last) {
         if (chunk.huge.present()) {
-          if ((ComponentBit(chunk.huge.component) & component_mask) == 0) {
+          if ((ComponentBit(chunk.huge.component()) & component_mask) == 0) {
             return VirtAddr{};
           }
-          found = chunk.huge.component;
+          found = chunk.huge.component();
           return chunk_start;
         }
         if ((chunk.leaf->ResidentMask() & component_mask) == 0) {
@@ -333,8 +341,8 @@ VirtAddr PageTable::FindMappingOn(VirtAddr start, Bytes len, u32 component_mask,
         }
         for (u64 p = first; p < last; ++p) {
           const Pte& pte = chunk.leaf->entries[p];
-          if (pte.present() && (ComponentBit(pte.component) & component_mask) != 0) {
-            found = pte.component;
+          if (pte.present() && (ComponentBit(pte.component()) & component_mask) != 0) {
+            found = pte.component();
             return chunk_start + p * kPageSize;
           }
         }
@@ -352,8 +360,8 @@ PageTable::Residency PageTable::CountMappings(VirtAddr start, Bytes len,
   const_cast<PageTable*>(this)->WalkChunks(
       start, len, [&](VirtAddr, const Chunk& chunk, u64 first, u64 last) {
         if (chunk.huge.present()) {
-          if ((ComponentBit(chunk.huge.component) & component_mask) != 0) {
-            ++counts.huge_pages[chunk.huge.component.value()];
+          if ((ComponentBit(chunk.huge.component()) & component_mask) != 0) {
+            ++counts.huge_pages[chunk.huge.component().value()];
           }
           return VirtAddr{};
         }
@@ -371,8 +379,8 @@ PageTable::Residency PageTable::CountMappings(VirtAddr start, Bytes len,
         }
         for (u64 p = first; p < last; ++p) {
           const Pte& pte = leaf.entries[p];
-          if (pte.present() && (ComponentBit(pte.component) & component_mask) != 0) {
-            ++counts.base_pages[pte.component.value()];
+          if (pte.present() && (ComponentBit(pte.component()) & component_mask) != 0) {
+            ++counts.base_pages[pte.component_];
           }
         }
         return VirtAddr{};
@@ -390,7 +398,7 @@ Status PageTable::AuditResidencyCounts() const {
       std::array<u16, kMaxComponents> recount{};
       for (const Pte& pte : chunk.leaf->entries) {
         if (pte.present()) {
-          ++recount[pte.component.value()];
+          ++recount[pte.component_];
         }
       }
       if (recount != chunk.leaf->resident) {

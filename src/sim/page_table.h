@@ -37,9 +37,10 @@
 
 namespace mtm {
 
-// Page table entry. Plain aggregate so scans stay cheap.
+// Page table entry: eight bytes, since the table is most of a large run's
+// memory (DESIGN.md §9).
 struct Pte {
-  enum Flags : u16 {
+  enum Flags : u8 {
     kPresent = 1u << 0,
     kAccessed = 1u << 1,
     kDirty = 1u << 2,
@@ -54,15 +55,18 @@ struct Pte {
     kHintArmed = 1u << 6,
   };
 
-  u16 flags = 0;
-  ComponentId component = kInvalidComponent;
   // Deterministic stand-in for the page's contents: every simulated write
   // folds the address into this word (see MixPayload). The migration copy
-  // engine snapshots it when staging an asynchronous copy and checksums the
-  // expanded contents, so "no lost update" is a testable property rather
-  // than a modeling assumption. Placement and cost never read it.
-  u64 payload = 0;
+  // engine snapshots it when staging an asynchronous copy and checksums it,
+  // so "no lost update" is a testable property rather than a modeling
+  // assumption. Placement and cost never read it.
+  u32 payload = 0;
+  u8 flags = 0;
 
+  // The component the page resides on; kInvalidComponent while unmapped.
+  ComponentId component() const {
+    return component_ == kNoComponent ? kInvalidComponent : ComponentId(component_);
+  }
   bool present() const { return flags & kPresent; }
   bool accessed() const { return flags & kAccessed; }
   bool dirty() const { return flags & kDirty; }
@@ -70,18 +74,28 @@ struct Pte {
   bool write_tracked() const { return flags & kWriteTracked; }
 
   void Set(Flags f) { flags |= f; }
-  void Clear(Flags f) { flags = static_cast<u16>(flags & ~f); }
-};
+  void Clear(Flags f) { flags = static_cast<u8>(flags & ~f); }
 
-// One simulated write's effect on a page payload: a splitmix64-style mix of
-// the old payload and the written address. Non-commutative, so reordered or
-// lost writes produce a different payload — exactly what the migration
-// copy-checksum tests need to detect.
-inline constexpr u64 MixPayload(u64 payload, VirtAddr addr) {
-  u64 x = payload ^ (addr.value() + 0x9e3779b97f4a7c15ull);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+ private:
+  // Only the table writes the component (MapRange, SplitHuge, SetComponent),
+  // so its per-leaf residency counts stay exact.
+  friend class PageTable;
+  static constexpr u8 kNoComponent = 0xff;
+
+  u8 component_ = kNoComponent;
+};
+static_assert(sizeof(Pte) == 8);
+
+// One simulated write's effect on a page payload: a murmur3-style 32-bit
+// mix of the old payload and the written address. Non-commutative, so
+// reordered or lost writes produce a different payload — exactly what the
+// migration copy-checksum tests need to detect.
+inline constexpr u32 MixPayload(u32 payload, VirtAddr addr) {
+  const u64 a = addr.value();
+  u32 x = payload ^ (static_cast<u32>(a ^ (a >> 32)) + 0x9e3779b9u);
+  x = (x ^ (x >> 16)) * 0x85ebca6bu;
+  x = (x ^ (x >> 13)) * 0xc2b2ae35u;
+  return x ^ (x >> 16);
 }
 
 // The bit of `component` in a component mask (FindMappingOn,
@@ -95,6 +109,7 @@ class PageTable {
   // Components the table counts residency for: every mapped component id
   // must lie below it.
   static constexpr u32 kMaxComponents = 8;
+  static_assert(kMaxComponents < Pte::kNoComponent);
 
   // Mappings per component, as CountMappings returns them.
   struct Residency {
@@ -160,9 +175,8 @@ class PageTable {
   // Visits the leaf mappings whose start lies in [start, start+len), in
   // address order, until pred(addr, mapping_size, pte) accepts one, and
   // returns that mapping's address; 0 when pred accepts none. pred may
-  // change an entry's flags and payload, and its component only through
-  // SetComponent; it may not assign `component` itself, nor map, unmap or
-  // split.
+  // change an entry's flags and payload, and its component through
+  // SetComponent; it may not map, unmap or split.
   VirtAddr FindMapping(VirtAddr start, Bytes len,
                        const std::function<bool(VirtAddr, Bytes, Pte&)>& pred);
 
@@ -180,6 +194,12 @@ class PageTable {
   // Chunks holding no page on the masked components are skipped whole.
   VirtAddr FindMappingOn(VirtAddr start, Bytes len, u32 component_mask,
                          ComponentId* component = nullptr) const;
+
+  // The component a range resides on, as the policies and the profiler read
+  // it: that of the mapping covering `start`, else of the one covering the
+  // midpoint (a merged region may start with an unmapped hole), else
+  // kInvalidComponent.
+  ComponentId RangeComponent(VirtAddr start, Bytes len) const;
 
   // Counts, per component, the mappings that start in [start, start+len)
   // and reside on a component in `component_mask`. A leaf the range covers

@@ -211,7 +211,7 @@ TEST_F(AccessEngineTest, TlbInvalidatedOnRemap) {
   const ComponentId third = machine_.TierOrder(0)[3];
   engine_.Apply(base(), false, 0);
   Pte* pte = page_table_.Find(base());
-  ASSERT_EQ(pte->component, local);
+  ASSERT_EQ(pte->component(), local);
   page_table_.SetComponent(base(), *pte, other);
   EXPECT_EQ(engine_.Apply(base(), false, 0), other);
 

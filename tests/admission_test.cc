@@ -325,7 +325,7 @@ class AdmissionEngineTest : public ::testing::Test {
     return start;
   }
 
-  ComponentId ComponentAt(VirtAddr addr) { return page_table_.Find(addr)->component; }
+  ComponentId ComponentAt(VirtAddr addr) { return page_table_.Find(addr)->component(); }
 
   Machine machine_;
   SimClock clock_;

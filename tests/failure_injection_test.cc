@@ -94,7 +94,7 @@ TEST(PressureTest, MigrationWithNoRoomAnywhereRecordsFailure) {
   (void)engine.Submit(MigrationOrder{as.vma(hot_vma).start, kHugePageBytes, t1, 0});
   EXPECT_GT(engine.stats().bytes_failed, Bytes{});
   // The hot pages stay where they were.
-  EXPECT_EQ(pt.Find(as.vma(hot_vma).start)->component, t3);
+  EXPECT_EQ(pt.Find(as.vma(hot_vma).start)->component(), t3);
 }
 
 TEST(PressureTest, PebsBufferOverflowDropsSamples) {
@@ -186,7 +186,7 @@ TEST(PressureTest, TwoTierDemotionTargetsExist) {
   MigrationEngine engine(machine, pt, frames, as, counters, clock,
                          MechanismKind::kNimble);
   (void)engine.Submit(MigrationOrder{as.vma(hot).start, kHugePageBytes, dram, 0});
-  EXPECT_EQ(pt.Find(as.vma(hot).start)->component, dram);
+  EXPECT_EQ(pt.Find(as.vma(hot).start)->component(), dram);
   EXPECT_GT(engine.stats().reclaim_demotions, 0u);
 }
 
@@ -284,7 +284,7 @@ TEST(FaultInjectionTest, CopyFailureRollsBackCleanly) {
   EXPECT_TRUE(IsUnavailable(s)) << s.ToString();
   // Rollback: source still mapped, nothing landed on the target, frame
   // accounting agrees with the page table, and a retry is queued.
-  EXPECT_EQ(pt.Find(as.vma(hot).start)->component, t3);
+  EXPECT_EQ(pt.Find(as.vma(hot).start)->component(), t3);
   EXPECT_EQ(frames.used(t1), Bytes{});
   EXPECT_EQ(frames.total_used(), pt.mapped_bytes());
   EXPECT_TRUE(engine.VerifyInvariants().ok());
@@ -326,7 +326,7 @@ TEST(FaultInjectionTest, BackoffRetryEventuallySucceeds) {
   engine.Poll();
   EXPECT_EQ(engine.retry_backlog(), 0u);
   EXPECT_EQ(engine.stats().retries, 1u);
-  EXPECT_EQ(pt.Find(as.vma(hot).start)->component, t1);
+  EXPECT_EQ(pt.Find(as.vma(hot).start)->component(), t1);
   EXPECT_EQ(engine.stats().bytes_migrated, kHugePageBytes);
   EXPECT_TRUE(engine.VerifyInvariants().ok());
 }
@@ -371,7 +371,7 @@ TEST(FaultInjectionTest, ThrashGuardAbandonsHotWrittenRegion) {
   EXPECT_EQ(engine.pending(), 0u);
   EXPECT_EQ(engine.retry_backlog(), 0u);
   // The region survived in place through every abort.
-  EXPECT_EQ(pt.Find(addr)->component, t3);
+  EXPECT_EQ(pt.Find(addr)->component(), t3);
   EXPECT_TRUE(engine.VerifyInvariants().ok());
 
   // A new interval opens a fresh thrash window: the region is eligible again.
@@ -379,7 +379,7 @@ TEST(FaultInjectionTest, ThrashGuardAbandonsHotWrittenRegion) {
   inj.set_probability(FaultSite::kMigrationCopy, 0.0);
   EXPECT_TRUE(engine.Submit(MigrationOrder{addr, kHugePageBytes, t1, 0}).ok());
   engine.Flush();
-  EXPECT_EQ(pt.Find(addr)->component, t1);
+  EXPECT_EQ(pt.Find(addr)->component(), t1);
 }
 
 TEST(FaultInjectionTest, OfflineTierDrainRelocatesEveryResident) {
@@ -410,7 +410,7 @@ TEST(FaultInjectionTest, OfflineTierDrainRelocatesEveryResident) {
   EXPECT_EQ(engine.stats().drained_bytes, bytes);
   EXPECT_EQ(engine.stats().drain_failed_bytes, Bytes{});
   pt.ForEachMapping(as.vma(data).start, bytes, [&](VirtAddr, Bytes, const Pte& pte) {
-    EXPECT_NE(pte.component, pm0);
+    EXPECT_NE(pte.component(), pm0);
   });
   EXPECT_EQ(frames.total_used(), pt.mapped_bytes());
   EXPECT_TRUE(engine.VerifyInvariants().ok());
@@ -449,7 +449,7 @@ TEST(FaultInjectionTest, OfflineEventRollsBackInFlightOrders) {
   EXPECT_EQ(engine.pending(), 0u);
   EXPECT_EQ(engine.stats().rollbacks, 1u);
   EXPECT_EQ(engine.stats().orders_abandoned, 1u);
-  EXPECT_EQ(pt.Find(as.vma(hot).start)->component, t1);
+  EXPECT_EQ(pt.Find(as.vma(hot).start)->component(), t1);
   // Write tracking was disarmed by the rollback.
   EXPECT_FALSE(pt.Find(as.vma(hot).start)->write_tracked());
   EXPECT_TRUE(engine.VerifyInvariants().ok());

@@ -43,7 +43,7 @@ class MigrationTest : public ::testing::Test {
 
   ComponentId ComponentAt(VirtAddr addr) {
     Pte* pte = page_table_.Find(addr);
-    return pte == nullptr ? kInvalidComponent : pte->component;
+    return pte == nullptr ? kInvalidComponent : pte->component();
   }
 
   Machine machine_;
@@ -211,7 +211,7 @@ TEST_F(MigrationTest, ReclaimDemotesWhenDestinationFull) {
   // Victims went to a strictly slower class (PM), never laterally to DRAM1.
   int on_dram1 = 0;
   page_table_.ForEachMapping(cold, frames_.capacity(t1_), [&](VirtAddr, Bytes, Pte& pte) {
-    on_dram1 += pte.component == t2_;
+    on_dram1 += pte.component() == t2_;
   });
   EXPECT_EQ(on_dram1, 0);
 }
@@ -227,7 +227,7 @@ TEST_F(MigrationTest, ReclaimPrefersInactivePages) {
   // Active pages survive: count demotions from the active half.
   int demoted_active = 0;
   page_table_.ForEachMapping(cold, frames_.capacity(t1_) / 2, [&](VirtAddr, Bytes, Pte& pte) {
-    demoted_active += pte.component != t1_;
+    demoted_active += pte.component() != t1_;
   });
   EXPECT_EQ(demoted_active, 0);
 }

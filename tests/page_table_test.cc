@@ -28,7 +28,7 @@ TEST(PageTableTest, MapAndFindBasePage) {
   Pte* pte = pt.Find(kBase + 100, &size);
   ASSERT_NE(pte, nullptr);
   EXPECT_EQ(size, kPageBytes);
-  EXPECT_EQ(pte->component, ComponentId(2));
+  EXPECT_EQ(pte->component(), ComponentId(2));
   EXPECT_TRUE(pte->present());
   EXPECT_FALSE(pte->huge());
   EXPECT_EQ(pt.mapped_bytes(), kPageBytes);
@@ -75,7 +75,7 @@ TEST(PageTableTest, FailedMapRangeMapsNothing) {
   EXPECT_EQ(pt.MapRange(kBase, 2 * kPageBytes, ComponentId(0), false).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(pt.Find(kBase), nullptr);
-  EXPECT_EQ(pt.Find(kBase + kPageSize)->component, ComponentId(1));
+  EXPECT_EQ(pt.Find(kBase + kPageSize)->component(), ComponentId(1));
   EXPECT_EQ(pt.mapped_base_pages(), 1u);
   EXPECT_EQ(pt.mapped_bytes(), kPageBytes);
   // The same for huge pages over a mapped second chunk.
@@ -166,10 +166,109 @@ TEST(PageTableTest, SplitHuge) {
   Pte* pte = pt.Find(kBase + 100 * kPageSize, &size);
   ASSERT_NE(pte, nullptr);
   EXPECT_EQ(size, kPageBytes);
-  EXPECT_EQ(pte->component, ComponentId(3));
+  EXPECT_EQ(pte->component(), ComponentId(3));
   EXPECT_TRUE(pte->accessed());  // A/D bits inherited
   EXPECT_TRUE(pte->dirty());
   EXPECT_FALSE(pt.SplitHuge(kBase).ok());  // already split
+}
+
+// The packed one-byte component: every id the table counts residency for
+// survives each of the three ways a component is written, on base and huge
+// mappings, and the residency counts follow.
+TEST(PageTableTest, EveryComponentRoundTrips) {
+  for (u32 id = 0; id < PageTable::kMaxComponents; ++id) {
+    const ComponentId c(id);
+    const ComponentId other((id + 1) % PageTable::kMaxComponents);
+    PageTable pt;
+    const VirtAddr huge = kBase;
+    const VirtAddr base = kBase + kHugePageSize;
+    ASSERT_TRUE(pt.MapRange(huge, kHugePageBytes, c, /*huge=*/true).ok()) << id;
+    ASSERT_TRUE(pt.MapRange(base, kPageBytes, c, /*huge=*/false).ok()) << id;
+    EXPECT_EQ(pt.Find(huge)->component(), c) << id;
+    EXPECT_EQ(pt.Find(base)->component(), c) << id;
+
+    pt.SetComponent(base, *pt.Find(base), other);
+    EXPECT_EQ(pt.Find(base)->component(), other) << id;
+    pt.SetComponent(base, *pt.Find(base), c);
+    EXPECT_EQ(pt.Find(base)->component(), c) << id;
+    pt.SetComponent(huge, *pt.Find(huge), other);
+    EXPECT_EQ(pt.Find(huge)->component(), other) << id;
+    pt.SetComponent(huge, *pt.Find(huge), c);
+
+    ASSERT_TRUE(pt.SplitHuge(huge).ok()) << id;
+    EXPECT_EQ(pt.Find(huge)->component(), c) << id;
+    EXPECT_EQ(pt.Find(huge + kHugePageSize - kPageSize)->component(), c) << id;
+    const PageTable::Residency counts =
+        pt.CountMappings(kBase, kHugePageBytes + kPageBytes, ComponentBit(c));
+    EXPECT_EQ(counts.base_pages[id], kPagesPerHugePage + 1) << id;
+    EXPECT_TRUE(pt.AuditResidencyCounts().ok()) << id;
+  }
+}
+
+TEST(PageTableTest, UnmappedReadsInvalidComponent) {
+  EXPECT_EQ(Pte{}.component(), kInvalidComponent);
+  PageTable pt;
+  EXPECT_EQ(pt.RangeComponent(kBase, kHugePageBytes), kInvalidComponent);
+  ASSERT_TRUE(pt.MapRange(kBase, kPageBytes, ComponentId(7), false).ok());
+  ASSERT_TRUE(pt.UnmapRange(kBase, kPageBytes).ok());
+  EXPECT_EQ(pt.RangeComponent(kBase, kHugePageBytes), kInvalidComponent);
+  ComponentId found = ComponentId(0);
+  EXPECT_TRUE(pt.FindMappingOn(kBase, kHugePageBytes, ~u32{0}, &found).IsZero());
+  EXPECT_EQ(found, kInvalidComponent);
+}
+
+TEST(PageTableTest, RangeComponentProbesStartThenMidpoint) {
+  PageTable pt;
+  ASSERT_TRUE(pt.MapRange(kBase, kPageBytes, ComponentId(1), false).ok());
+  ASSERT_TRUE(pt.MapRange(kBase + 8 * kPageSize, kPageBytes, ComponentId(2), false).ok());
+  // The head's component wins over the midpoint's.
+  EXPECT_EQ(pt.RangeComponent(kBase, PagesToBytes(16)), ComponentId(1));
+  // An unmapped head falls back to the midpoint.
+  EXPECT_EQ(pt.RangeComponent(kBase + 4 * kPageSize, PagesToBytes(8)), ComponentId(2));
+  // Neither probe mapped: pages elsewhere in the range are not looked at.
+  EXPECT_EQ(pt.RangeComponent(kBase + kPageSize, PagesToBytes(4)), kInvalidComponent);
+}
+
+TEST(PageTableTest, FlagsLeaveComponentAndPayloadUntouched) {
+  PageTable pt;
+  ASSERT_TRUE(pt.MapRange(kBase, kPageBytes, ComponentId(5), false).ok());
+  Pte& pte = *pt.Find(kBase);
+  pte.payload = 0xdead'beefu;
+  // The seven flags in use are bits 0..6; setting them all leaves bit 7 free.
+  u8 all = 0;
+  for (u32 bit = 0; bit < 7; ++bit) {
+    const auto f = static_cast<Pte::Flags>(1u << bit);
+    const u8 before = pte.flags;
+    pte.Set(f);
+    EXPECT_EQ(pte.flags, before | f) << bit;
+    EXPECT_EQ(pte.component(), ComponentId(5)) << bit;
+    EXPECT_EQ(pte.payload, 0xdead'beefu) << bit;
+    pte.Clear(f);
+    EXPECT_EQ(pte.flags, before & ~f) << bit;
+    EXPECT_EQ(pte.component(), ComponentId(5)) << bit;
+    EXPECT_EQ(pte.payload, 0xdead'beefu) << bit;
+    pte.Set(f);
+    all |= f;
+  }
+  EXPECT_EQ(pte.flags, all);
+  EXPECT_EQ(all, 0x7f);
+  for (u32 bit = 0; bit < 7; ++bit) {
+    pte.Clear(static_cast<Pte::Flags>(1u << bit));
+  }
+  EXPECT_EQ(pte.flags, 0);
+  EXPECT_EQ(pte.component(), ComponentId(5));
+  EXPECT_EQ(pte.payload, 0xdead'beefu);
+}
+
+TEST(PageTableTest, MixPayloadShowsReorderedAndLostWrites) {
+  const VirtAddr a = kBase + 8;
+  const VirtAddr b = kBase + 16;
+  const u32 ab = MixPayload(MixPayload(0, a), b);
+  EXPECT_NE(ab, MixPayload(MixPayload(0, b), a));  // reordered
+  EXPECT_NE(ab, MixPayload(0, a));                 // the second write lost
+  EXPECT_NE(ab, MixPayload(0, b));                 // the first write lost
+  // Addresses 4 GiB apart mix differently.
+  EXPECT_NE(MixPayload(0, a), MixPayload(0, a + (u64{1} << 32)));
 }
 
 TEST(PageTableTest, ForEachMappingVisitsInOrder) {
@@ -217,8 +316,8 @@ TEST(PageTableTest, GenerationBumpsOnStructuralChange) {
   EXPECT_EQ(size, kPageBytes);
 
   pt.SetComponent(addr, *base, ComponentId(2));
-  EXPECT_EQ(pt.Find(addr)->component, ComponentId(2));
-  EXPECT_EQ(pt.Find(addr + kPageSize)->component, ComponentId(1));
+  EXPECT_EQ(pt.Find(addr)->component(), ComponentId(2));
+  EXPECT_EQ(pt.Find(addr + kPageSize)->component(), ComponentId(1));
   const PageTable::Residency residency = pt.CountMappings(kBase, kHugePageBytes, ~u32{0});
   EXPECT_EQ(residency.base_pages[1], kPagesPerHugePage - 1);
   EXPECT_EQ(residency.base_pages[2], 1u);
@@ -241,7 +340,7 @@ TEST(PageTableTest, PageTablePagesGrow) {
     const Pte* pte = pt.Find(chunk + kHugePageSize - kPageSize, &size);
     ASSERT_NE(pte, nullptr);
     EXPECT_EQ(size, kPageBytes);
-    EXPECT_EQ(pte->component, ComponentId(0));
+    EXPECT_EQ(pte->component(), ComponentId(0));
   }
 }
 
@@ -316,7 +415,7 @@ void ExpectFindMatches(PageTable& pt, const PageTableShadow& shadow, u64 addr) {
   }
   ASSERT_NE(pte, nullptr) << std::hex << addr;
   EXPECT_EQ(size, it->second.size) << std::hex << addr;
-  EXPECT_EQ(pte->component, it->second.component) << std::hex << addr;
+  EXPECT_EQ(pte->component(), it->second.component) << std::hex << addr;
   EXPECT_EQ(pte->huge(), it->second.size == kHugePageBytes) << std::hex << addr;
   EXPECT_EQ(pt.Find(VirtAddr(it->first)), pte) << std::hex << addr;
 }
@@ -397,7 +496,7 @@ void ExpectFindMappingMatches(PageTable& pt, u64 start, u64 len, Rng& rng) {
   auto make_pred = [&]() -> Pred {
     switch (kind) {
       case 0:
-        return [component](VirtAddr, Bytes, Pte& pte) { return pte.component == component; };
+        return [component](VirtAddr, Bytes, Pte& pte) { return pte.component() == component; };
       case 1:
         return [](VirtAddr, Bytes size, Pte&) { return size == kHugePageBytes; };
       case 2:
@@ -563,11 +662,12 @@ TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
 
   // Entries returned by Find stay valid while new 1 GiB windows are mapped
   // below the live ones and into the hole between them.
+  // Each held entry's payload is tagged with its position in `held`.
   std::vector<std::pair<u64, Pte*>> held;
   for (const auto& [addr, m] : shadow.mappings()) {
     Pte* pte = pt.Find(VirtAddr(addr));
     ASSERT_NE(pte, nullptr);
-    pte->payload = addr;
+    pte->payload = static_cast<u32>(held.size());
     held.emplace_back(addr, pte);
   }
   for (u64 addr : {kBase.value() - kWindow, kBase.value() - 3 * kWindow,
@@ -578,9 +678,10 @@ TEST(PageTablePropertyTest, RandomMapUnmapConsistency) {
     shadow.mappings()[addr] = {kHugePageBytes, ComponentId(0)};
     shadow.mappings()[addr + kHugePageSize] = {kPageBytes, ComponentId(0)};
   }
-  for (const auto& [addr, pte] : held) {
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    const auto& [addr, pte] = held[i];
     ASSERT_EQ(pt.Find(VirtAddr(addr)), pte) << std::hex << addr;
-    EXPECT_EQ(pte->payload, addr);
+    EXPECT_EQ(pte->payload, i);
   }
   ExpectForEachMatches(pt, shadow, kBase.value() - 3 * kWindow, (kWindows + 3) * kWindow);
 }

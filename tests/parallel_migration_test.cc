@@ -127,12 +127,13 @@ std::vector<PageCopyRecord> RandomSnapshot(Rng& rng) {
   for (u64 f = 0; f < frames; ++f) {
     frame = frame + (1 + rng.NextBounded(3)) * kHugePageBytes;
     if (rng.NextBounded(2) == 0) {
-      pages.push_back(PageCopyRecord{frame, kHugePageBytes, ComponentId{2}, rng.Next()});
+      pages.push_back(
+          PageCopyRecord{frame, kHugePageBytes, ComponentId{2}, static_cast<u32>(rng.Next())});
     } else {
       for (u64 p = 0; p < kPagesPerHugePage; ++p) {
         if (rng.NextBounded(4) == 0) {
           pages.push_back(PageCopyRecord{frame + p * kPageBytes.value(), kPageBytes,
-                                         ComponentId{3}, rng.Next()});
+                                         ComponentId{3}, static_cast<u32>(rng.Next())});
         }
       }
     }
@@ -167,7 +168,7 @@ TEST(CopyChecksumTest, ChangesWithAnyOneRecordsPayload) {
     const u64 base = RegionChecksum(pages);
     for (std::size_t i = 0; i < pages.size(); ++i) {
       std::vector<PageCopyRecord> changed = pages;
-      changed[i].payload ^= u64{1} << rng.NextBounded(64);
+      changed[i].payload ^= u32{1} << rng.NextBounded(32);
       EXPECT_NE(RegionChecksum(changed), base) << "trial " << trial << " record " << i;
       changed = pages;
       changed.erase(changed.begin() + static_cast<std::ptrdiff_t>(i));
@@ -207,7 +208,7 @@ TEST(CopyChecksumTest, SizeAndAddressDoNotAlias) {
   // Same payload and source: a huge record differs from the base record at
   // its address, and a base record from its neighbours.
   const VirtAddr addr = VirtAddr(GiB(1).value());
-  const u64 payload = 0x1234'5678'9abc'def0ull;
+  const u32 payload = 0x9abc'def0u;
   const PageCopyRecord base{addr, kPageBytes, ComponentId{2}, payload};
   const PageCopyRecord huge{addr, kHugePageBytes, ComponentId{2}, payload};
   const PageCopyRecord next{addr + kPageSize, kPageBytes, ComponentId{2}, payload};
@@ -252,7 +253,7 @@ TEST(CopyShardPlanTest, CancelDiscardsWithoutSideEffects) {
   EXPECT_EQ(engine.stats().copy_checksum, 0u);
   const Pte* pte = page_table.Find(start);
   ASSERT_NE(pte, nullptr);
-  EXPECT_EQ(pte->component, t3);
+  EXPECT_EQ(pte->component(), t3);
 }
 
 // ------------------------------------------- write-fault fallback (§7.2) --
@@ -285,10 +286,10 @@ class AsyncFallbackTest : public ::testing::Test {
     std::vector<PageCopyRecord> records;
     const PageTable& pt = page_table_;
     pt.ForEachMapping(start, len, [&](VirtAddr addr, Bytes size, const Pte& pte) {
-      if (pte.component == dst) {
+      if (pte.component() == dst) {
         return;
       }
-      records.push_back(PageCopyRecord{addr, size, pte.component, pte.payload});
+      records.push_back(PageCopyRecord{addr, size, pte.component(), pte.payload});
     });
     return records;
   }
@@ -395,6 +396,33 @@ TEST_F(AsyncFallbackTest, AsyncCommitAndFallbackGiveTheSameChecksum) {
   EXPECT_EQ(checksums[0], checksums[1]);
 }
 
+TEST_F(AsyncFallbackTest, AsyncCommitCopiesEveryPayloadBit) {
+  // The staged snapshot carries the whole 32-bit payload word: two runs that
+  // differ only in the top bit of one page's payload commit different
+  // checksums.
+  u64 checksums[2] = {0, 0};
+  for (u32 flip = 0; flip < 2; ++flip) {
+    SimClock clock;
+    PageTable page_table;
+    AddressSpace address_space;
+    FrameAllocator frames(machine_);
+    MemCounters counters(machine_.num_components());
+    u32 vma = address_space.Allocate(MiB(2), false, "w");
+    VirtAddr start = address_space.vma(vma).start;
+    ASSERT_TRUE(page_table.MapRange(start, MiB(2), t3_, false).ok());
+    ASSERT_TRUE(frames.Reserve(t3_, MiB(2)).ok());
+    page_table.Find(start + 9 * kPageSize)->payload = 0x0123'4567u ^ (flip << 31);
+    MigrationEngine engine(machine_, page_table, frames, address_space, counters, clock,
+                           MechanismKind::kMoveMemoryRegions);
+    ASSERT_TRUE(engine.Submit(MigrationOrder{start, MiB(2), t1_, 0}).ok());
+    clock.AdvanceApp(Seconds(1));
+    engine.Poll();
+    EXPECT_EQ(engine.stats().async_copies, 1u);
+    checksums[flip] = engine.stats().copy_checksum;
+  }
+  EXPECT_NE(checksums[0], checksums[1]);
+}
+
 TEST_F(AsyncFallbackTest, EngineChecksumsIndependentOfMigrateThreads) {
   // Two identical scenarios on fresh engines: every copy stat must agree,
   // so the checksum is a function of the copied contents alone. (The
@@ -452,7 +480,7 @@ TEST_F(AsyncFallbackTest, NoLostUpdates) {
   EXPECT_EQ(engine.stats().sync_fallbacks, 1u);
   Pte* pte = page_table_.Find(target);
   ASSERT_NE(pte, nullptr);
-  EXPECT_EQ(pte->component, t1_);  // committed by the fallback
+  EXPECT_EQ(pte->component(), t1_);  // committed by the fallback
   EXPECT_EQ(pte->payload, MixPayload(payload_before, target));  // write survived
   EXPECT_FALSE(pte->write_tracked());
 }

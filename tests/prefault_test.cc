@@ -84,7 +84,7 @@ std::vector<Mapping> Mappings(Solution& solution) {
   for (const Vma& vma : solution.address_space().vmas()) {
     solution.page_table().ForEachMapping(vma.start, vma.len,
                                          [&out](VirtAddr addr, Bytes size, Pte& pte) {
-      out.emplace_back(addr.value(), size.value(), pte.flags, pte.component.value(),
+      out.emplace_back(addr.value(), size.value(), pte.flags, pte.component().value(),
                        pte.payload);
     });
   }
