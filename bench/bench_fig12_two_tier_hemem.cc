@@ -7,6 +7,8 @@
 // MTM keeps 24 > 16 threads — MTM's profiling adapts faster and finds more
 // hot pages than HeMem's PEBS-only sampling.
 #include <cstdio>
+#include <tuple>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/types.h"
@@ -21,9 +23,11 @@
 namespace mtm {
 namespace {
 
-double RunGups(SolutionKind kind, Bytes footprint, u32 threads, u64 scale) {
+constexpr u64 kScale = 512;
+
+double RunGups(SolutionKind kind, Bytes footprint, u32 threads) {
   ExperimentConfig config;
-  config.sim_scale = scale;
+  config.sim_scale = kScale;
   config.two_tier = true;
   config.num_threads = threads;
   config.num_intervals = 400;
@@ -49,24 +53,30 @@ double RunGups(SolutionKind kind, Bytes footprint, u32 threads, u64 scale) {
 
 int main() {
   using namespace mtm;
-  const u64 scale = 512;
   benchutil::PrintHeader("Figure 12", "two-tier GUPS throughput vs working-set/DRAM ratio");
 
-  Machine machine = Machine::TwoTier(scale);
+  Machine machine = Machine::TwoTier(kScale);
   const Bytes dram = machine.component(machine.TierOrder(0)[0]).capacity_bytes;
   std::printf("DRAM tier: %.0f MiB (scaled 96 GB)\n\n", ToMiB(dram));
 
-  benchutil::Table table({"ws/dram", "hemem-16t", "hemem-24t", "mtm-16t", "mtm-24t"});
-  for (double ratio : {0.5, 0.8, 1.2, 1.6, 2.4, 3.2}) {
+  const double ratios[] = {0.5, 0.8, 1.2, 1.6, 2.4, 3.2};
+  std::vector<std::tuple<SolutionKind, Bytes, u32>> cells;  // four columns per ratio
+  for (double ratio : ratios) {
     Bytes footprint = HugeAlignUp(BytesFromDouble(static_cast<double>(dram.value()) * ratio));
-    double h16 = RunGups(SolutionKind::kHemem, footprint, 16, scale);
-    double h24 = RunGups(SolutionKind::kHemem, footprint, 24, scale);
-    double m16 = RunGups(SolutionKind::kMtm, footprint, 16, scale);
-    double m24 = RunGups(SolutionKind::kMtm, footprint, 24, scale);
-    table.AddRow({benchutil::Fmt("%.1f", ratio), benchutil::Fmt("%.1f", h16),
-                  benchutil::Fmt("%.1f", h24), benchutil::Fmt("%.1f", m16),
-                  benchutil::Fmt("%.1f", m24)});
-    std::printf("[ratio %.1f done]\n", ratio);
+    for (SolutionKind kind : {SolutionKind::kHemem, SolutionKind::kMtm}) {
+      for (u32 threads : {16u, 24u}) {
+        cells.emplace_back(kind, footprint, threads);
+      }
+    }
+  }
+  const std::vector<double> t =
+      benchutil::RunMatrix(cells, [](const auto& cell) { return std::apply(RunGups, cell); });
+
+  benchutil::Table table({"ws/dram", "hemem-16t", "hemem-24t", "mtm-16t", "mtm-24t"});
+  for (std::size_t i = 0; i < std::size(ratios); ++i) {
+    table.AddRow({benchutil::Fmt("%.1f", ratios[i]), benchutil::Fmt("%.1f", t[4 * i]),
+                  benchutil::Fmt("%.1f", t[4 * i + 1]), benchutil::Fmt("%.1f", t[4 * i + 2]),
+                  benchutil::Fmt("%.1f", t[4 * i + 3])});
   }
   std::printf("\nthroughput in M accesses per simulated second (higher is better)\n\n");
   table.Print();

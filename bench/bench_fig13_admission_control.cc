@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/types.h"
@@ -47,15 +49,18 @@ RunResult RunPingPong(AdmissionKind admission, const std::string& fault_spec) {
   return RunSimulation(*workload, solution, config);
 }
 
-void RunScenario(const char* title, const std::string& fault_spec) {
+constexpr AdmissionKind kAdmissions[] = {AdmissionKind::kVanilla, AdmissionKind::kPpt,
+                                         AdmissionKind::kBandwidth};
+
+// One row per admission controller; `runs` holds their results in order.
+void PrintScenario(const char* title, const RunResult* runs) {
   std::printf("--- %s ---\n", title);
   benchutil::Table table({"admission", "migrated-mib", "flip-mib", "thrash-aborts", "admitted",
                           "deferred", "rejected", "shed-mib"});
-  for (AdmissionKind kind :
-       {AdmissionKind::kVanilla, AdmissionKind::kPpt, AdmissionKind::kBandwidth}) {
-    RunResult r = RunPingPong(kind, fault_spec);
+  for (std::size_t i = 0; i < std::size(kAdmissions); ++i) {
+    const RunResult& r = runs[i];
     const Bytes shed = r.admission_stats.deferred_bytes + r.admission_stats.rejected_bytes;
-    table.AddRow({AdmissionKindName(kind),
+    table.AddRow({AdmissionKindName(kAdmissions[i]),
                   benchutil::Fmt("%.1f", ToMiB(r.migration_stats.bytes_migrated)),
                   benchutil::Fmt("%.1f", ToMiB(r.admission_stats.flip_bytes)),
                   benchutil::FmtU(r.migration_stats.thrash_aborts),
@@ -79,8 +84,19 @@ int main() {
     benchutil::PrintConfig(config);
   }
 
-  RunScenario("fault-free", "");
-  RunScenario("chaos: copy_fail p=0.3", "copy_fail:p=0.3");
+  const char* titles[] = {"fault-free", "chaos: copy_fail p=0.3"};
+  const std::string specs[] = {"", "copy_fail:p=0.3"};
+  std::vector<std::tuple<AdmissionKind, std::string>> cells;
+  for (const std::string& spec : specs) {
+    for (AdmissionKind kind : kAdmissions) {
+      cells.emplace_back(kind, spec);
+    }
+  }
+  const std::vector<RunResult> results =
+      benchutil::RunMatrix(cells, [](const auto& cell) { return std::apply(RunPingPong, cell); });
+  for (std::size_t i = 0; i < std::size(titles); ++i) {
+    PrintScenario(titles[i], &results[i * std::size(kAdmissions)]);
+  }
 
   std::printf("expected shape: ppt cuts flip-wasted MiB and (under faults) thrash aborts via\n"
               "deferrals; bandwidth holds admitted promotion bytes at one promote batch per\n"

@@ -12,6 +12,8 @@
 // Expected shape: logistic lands close to the heuristic and ahead of the
 // swapped-in and standalone baselines.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/units.h"
@@ -25,36 +27,41 @@ int main() {
   benchutil::PrintHeader("Figure 14", "pluggable tiering policies on VoltDB (seconds)");
   benchutil::PrintConfig(base);
 
+  struct Row {
+    const char* name;
+    SolutionKind kind;
+    std::string policy;
+  };
+  const std::vector<Row> rows = {
+      {"mtm (full)", SolutionKind::kMtm, ""},
+      {"logistic (fitted)", SolutionKind::kMtm, "logistic"},
+      {"autonuma policy in mtm stack", SolutionKind::kMtm, "autonuma"},
+      {"autotiering policy in mtm stack", SolutionKind::kMtm, "autotiering"},
+      {"tiered-autonuma (solution)", SolutionKind::kTieredAutoNuma, ""},
+      {"autotiering (solution)", SolutionKind::kAutoTiering, ""},
+  };
+  const std::vector<RunResult> results = benchutil::RunMatrix(rows, [&base](const Row& row) {
+    ExperimentConfig config = base;
+    config.policy_override = row.policy;
+    return RunExperiment("voltdb", row.kind, config);
+  });
+
   benchutil::Table table({"policy", "app(s)", "total(s)", "fast-tier %", "moved(MiB)",
                           "vs mtm"});
-  double mtm_total = 0.0;
-
-  auto run = [&](const char* name, SolutionKind kind, const std::string& policy) {
-    ExperimentConfig config = base;
-    config.policy_override = policy;
-    RunResult r = RunExperiment("voltdb", kind, config);
+  const double mtm_total = ToSeconds(results[0].total_ns());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const RunResult& r = results[i];
     double total = ToSeconds(r.total_ns());
-    if (mtm_total == 0.0) {
-      mtm_total = total;
-    }
     double fast_share = 0.0;
     if (!r.component_app_accesses.empty() && r.total_accesses > 0) {
       fast_share = static_cast<double>(r.component_app_accesses[0]) /
                    static_cast<double>(r.total_accesses) * 100.0;
     }
-    table.AddRow({name, benchutil::Fmt("%.3f", ToSeconds(r.app_ns)),
+    table.AddRow({rows[i].name, benchutil::Fmt("%.3f", ToSeconds(r.app_ns)),
                   benchutil::Fmt("%.3f", total), benchutil::Fmt("%.1f", fast_share),
                   benchutil::Fmt("%.1f", ToMiB(r.migration_stats.bytes_migrated)),
                   benchutil::Fmt("%+.1f%%", (total - mtm_total) / mtm_total * 100.0)});
-    std::printf("[%s done]\n", name);
-  };
-
-  run("mtm (full)", SolutionKind::kMtm, "");
-  run("logistic (fitted)", SolutionKind::kMtm, "logistic");
-  run("autonuma policy in mtm stack", SolutionKind::kMtm, "autonuma");
-  run("autotiering policy in mtm stack", SolutionKind::kMtm, "autotiering");
-  run("tiered-autonuma (solution)", SolutionKind::kTieredAutoNuma, "");
-  run("autotiering (solution)", SolutionKind::kAutoTiering, "");
+  }
 
   std::printf("\n");
   table.Print();

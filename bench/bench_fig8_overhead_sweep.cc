@@ -9,7 +9,6 @@
 #include "bench/bench_util.h"
 #include "src/common/logging.h"
 #include "src/common/stats.h"
-#include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/core/driver.h"
 #include "src/core/experiment.h"
@@ -18,12 +17,6 @@
 #include "src/obs/obs.h"
 
 namespace {
-
-double PhaseSeconds(const mtm::Observability& obs, const std::string& gauge) {
-  mtm::MetricId id = obs.metrics.Find(gauge);
-  MTM_CHECK(id != mtm::kInvalidMetricId);
-  return mtm::ToSeconds(mtm::SimNanos(static_cast<mtm::u64>(obs.metrics.gauge(id))));
-}
 
 // Host wall-clock histogram recorded by an MTM_TRACE_SCOPE site (µs/call).
 const mtm::RunningStats& WallHist(const mtm::Observability& obs, const std::string& name) {
@@ -55,9 +48,9 @@ int main() {
     const RunningStats& scan = WallHist(obs, "wall/scan_tick");
     const RunningStats& intvl = WallHist(obs, "wall/interval_end");
     table.AddRow({benchutil::Fmt("%.0f%%", target * 100.0),
-                  benchutil::Fmt("%.3f", PhaseSeconds(obs, "time/app_ns")),
-                  benchutil::Fmt("%.3f", PhaseSeconds(obs, "time/profiling_ns")),
-                  benchutil::Fmt("%.3f", PhaseSeconds(obs, "time/migration_ns")),
+                  benchutil::Fmt("%.3f", ToSeconds(r.app_ns)),
+                  benchutil::Fmt("%.3f", ToSeconds(r.profiling_ns)),
+                  benchutil::Fmt("%.3f", ToSeconds(r.migration_ns)),
                   benchutil::Fmt("%.3f", ToSeconds(r.total_ns())),
                   benchutil::Fmt("%.1f", scan.mean()) + " x" + benchutil::FmtU(scan.count()),
                   benchutil::Fmt("%.1f", intvl.mean()) + " x" +

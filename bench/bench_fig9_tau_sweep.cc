@@ -6,6 +6,7 @@
 // (large tau_m) degrades profiling quality, aggressive splitting (small
 // tau_s) inflates profiling time.
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/units.h"
@@ -22,20 +23,24 @@ int main() {
     double tau_m;
     double tau_s;
   };
-  const Case cases[] = {
+  const std::vector<Case> cases = {
       {3, 0, 3}, {3, 1, 1}, {3, 1, 2}, {3, 2, 0}, {3, 2, 1}, {3, 3, 0},
       {6, 0, 6}, {6, 2, 2}, {6, 2, 4}, {6, 4, 0}, {6, 4, 2}, {6, 6, 0},
   };
-
-  benchutil::Table table({"num_scans", "(tau_m,tau_s)", "app(s)", "profiling(s)",
-                          "migration(s)", "total(s)"});
-  for (const Case& c : cases) {
+  const std::vector<RunResult> results = benchutil::RunMatrix(cases, [](const Case& c) {
     ExperimentConfig config = benchutil::DefaultConfig();
     config.target_accesses = 20'000'000;
     config.mtm.num_scans = c.num_scans;
     config.mtm.tau_m = c.tau_m;
     config.mtm.tau_s = c.tau_s;
-    RunResult r = RunExperiment("voltdb", SolutionKind::kMtm, config);
+    return RunExperiment("voltdb", SolutionKind::kMtm, config);
+  });
+
+  benchutil::Table table({"num_scans", "(tau_m,tau_s)", "app(s)", "profiling(s)",
+                          "migration(s)", "total(s)"});
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const RunResult& r = results[i];
     char pair[32];
     std::snprintf(pair, sizeof(pair), "(%g,%g)", c.tau_m, c.tau_s);
     table.AddRow({benchutil::FmtU(c.num_scans), pair,
@@ -43,7 +48,6 @@ int main() {
                   benchutil::Fmt("%.3f", ToSeconds(r.profiling_ns)),
                   benchutil::Fmt("%.3f", ToSeconds(r.migration_ns)),
                   benchutil::Fmt("%.3f", ToSeconds(r.total_ns()))});
-    std::printf("[scans=%u %s done]\n", c.num_scans, pair);
   }
   std::printf("\n");
   table.Print();

@@ -6,6 +6,8 @@
 // paper) that becomes negligible as the run progresses, because MTM
 // promotes the hot set regardless of where it started.
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/units.h"
@@ -18,21 +20,26 @@ int main() {
   using namespace mtm;
   benchutil::PrintHeader("Table 4", "GUPS time vs initial page placement (MTM)");
 
+  const u64 works[] = {6'000'000, 12'000'000, 18'000'000, 24'000'000, 30'000'000};
+  std::vector<std::pair<u64, PlacementPolicy>> cells;  // (work, initial placement)
+  for (u64 work : works) {
+    cells.emplace_back(work, PlacementPolicy::kSlowTierFirst);
+    cells.emplace_back(work, PlacementPolicy::kFirstTouch);
+  }
+  const std::vector<double> seconds =
+      benchutil::RunMatrix(cells, [](const std::pair<u64, PlacementPolicy>& cell) {
+        ExperimentConfig config = benchutil::DefaultConfig();
+        config.target_accesses = cell.first;
+        config.mtm.placement = cell.second;
+        return ToSeconds(RunExperiment("gups", SolutionKind::kMtm, config).total_ns());
+      });
+
   benchutil::Table table({"work (M accesses)", "slow-tier-first (s)", "first-touch (s)",
                           "difference"});
-  for (u64 work : {6'000'000ull, 12'000'000ull, 18'000'000ull, 24'000'000ull, 30'000'000ull}) {
-    ExperimentConfig config = benchutil::DefaultConfig();
-    config.target_accesses = work;
-
-    config.mtm.placement = PlacementPolicy::kSlowTierFirst;
-    RunResult slow = RunExperiment("gups", SolutionKind::kMtm, config);
-
-    config.mtm.placement = PlacementPolicy::kFirstTouch;
-    RunResult ft = RunExperiment("gups", SolutionKind::kMtm, config);
-
-    double s = ToSeconds(slow.total_ns());
-    double f = ToSeconds(ft.total_ns());
-    table.AddRow({benchutil::FmtU(work / 1'000'000), benchutil::Fmt("%.3f", s),
+  for (std::size_t i = 0; i < std::size(works); ++i) {
+    double s = seconds[2 * i];
+    double f = seconds[2 * i + 1];
+    table.AddRow({benchutil::FmtU(works[i] / 1'000'000), benchutil::Fmt("%.3f", s),
                   benchutil::Fmt("%.3f", f),
                   benchutil::Fmt("%+.1f%%", (s - f) / f * 100.0)});
   }

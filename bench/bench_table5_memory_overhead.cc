@@ -3,6 +3,8 @@
 // Expected shape: region metadata plus the address-range index stays a
 // vanishing fraction (<0.01% in the paper) of the workload footprint.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/units.h"
@@ -18,11 +20,15 @@ int main() {
   benchutil::PrintHeader("Table 5", "MTM memory-management metadata overhead");
   benchutil::PrintConfig(config);
 
+  const std::vector<RunResult> results =
+      benchutil::RunMatrix(AllWorkloadNames(), [&config](const std::string& workload) {
+        return RunExperiment(workload, SolutionKind::kMtm, config);
+      });
+
   benchutil::Table table(
       {"workload", "workload memory", "mtm overhead", "fraction"});
-  for (const std::string& workload : AllWorkloadNames()) {
-    RunResult r = RunExperiment(workload, SolutionKind::kMtm, config);
-    table.AddRow({workload, benchutil::Fmt("%.0f MiB", ToMiB(r.footprint_bytes)),
+  for (const RunResult& r : results) {
+    table.AddRow({r.workload, benchutil::Fmt("%.0f MiB", ToMiB(r.footprint_bytes)),
                   benchutil::Fmt("%.1f KiB", static_cast<double>(r.profiler_memory_bytes.value()) / 1024.0),
                   benchutil::Fmt("%.4f%%", 100.0 * static_cast<double>(r.profiler_memory_bytes.value()) /
                                                static_cast<double>(r.footprint_bytes.value()))});

@@ -1,10 +1,13 @@
 // Shared helpers for the paper-reproduction benches: consistent headers,
-// simple aligned tables, and the default experiment configuration used
-// across figures.
+// simple aligned tables, the default experiment configuration used across
+// figures, and a runner for independent cells.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/units.h"
@@ -88,6 +91,29 @@ inline ExperimentConfig DefaultConfig() {
   config.target_accesses = 45'000'000;
   config.seed = 42;
   return config;
+}
+
+// Returns run(cells[i]) for every cell, in cell order. The cells run on
+// min(hardware threads, cells) host threads that take the next index from a
+// shared counter, so each call must touch no state another cell touches.
+// A thread runs whole cells one after another: each run keeps one host
+// thread (DESIGN.md §15).
+template <typename Cell, typename Run>
+auto RunMatrix(const std::vector<Cell>& cells, Run run) {
+  std::vector<decltype(run(cells.front()))> results(cells.size());
+  std::atomic<std::size_t> next{0};
+  const std::size_t threads =
+      std::min<std::size_t>(std::max(1u, std::thread::hardware_concurrency()), cells.size());
+  std::vector<std::jthread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&] {
+      for (std::size_t i = next++; i < cells.size(); i = next++) {
+        results[i] = run(cells[i]);
+      }
+    });
+  }
+  pool.clear();  // joins
+  return results;
 }
 
 }  // namespace benchutil

@@ -34,7 +34,6 @@ void PrefaultWorkingSet(Solution& solution) {
     });
     rr += static_cast<u32>(vma.len / (vma.thp ? kHugePageBytes : kPageBytes));
   }
-  solution.tracker().ResetEpoch();
 }
 
 RunResult RunSimulation(Workload& workload, Solution& solution,

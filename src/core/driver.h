@@ -99,8 +99,9 @@ struct RunOptions {
 // Application initialization, the first step of RunSimulation: faults every
 // prefault VMA in, in address order, the i-th mapping from the socket of
 // thread i, as real initialization loops do. This is where first-touch
-// placement decisions happen. No accessed or dirty bit is left set, so the
-// first profiling interval observes the access phase, not this loop.
+// placement decisions happen. No accessed or dirty bit is left set and the
+// tracker counts none of these writes, so the first profiling interval
+// observes the access phase, not this loop.
 void PrefaultWorkingSet(Solution& solution);
 
 RunResult RunSimulation(Workload& workload, Solution& solution,

@@ -41,9 +41,6 @@ SimNanos AccessEngine::PageFillCost(u32 socket, ComponentId component) const {
 [[gnu::always_inline]] inline void AccessEngine::Charge(VirtAddr addr, ComponentId component,
                                                         u32 socket, bool is_write) {
   counters_.CountApp(component, is_write);
-  if (tracker_ != nullptr) {
-    tracker_->OnAccess(addr, is_write);
-  }
 
   // Memory-mode caching intercepts the cost model: hits are served at local
   // DRAM speed, misses pay the PM access plus the line fill, and dirty
@@ -118,6 +115,9 @@ ComponentId AccessEngine::Apply(VirtAddr addr, bool is_write, u32 socket) {
     pte->payload = MixPayload(pte->payload, addr);
   }
 
+  if (tracker_ != nullptr) {
+    tracker_->OnAccess(addr, is_write);
+  }
   ComponentId component = pte->component();
   Charge(addr, component, socket, is_write);
   return component;
@@ -131,8 +131,7 @@ void AccessEngine::Prefault(VirtAddr start, Bytes len, bool huge,
   const u64 total = len.value() / step;
   // Only an attached per-access observer needs each write on its own; every
   // other term of a run's charge is an integer sum.
-  const bool observed =
-      tracker_ != nullptr || !hmc_caches_.empty() || (pebs_ != nullptr && pebs_->enabled());
+  const bool observed = !hmc_caches_.empty() || (pebs_ != nullptr && pebs_->enabled());
   u64 i = 0;
   while (i < total) {
     const u32 socket = socket_of(i);

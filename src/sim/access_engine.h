@@ -115,8 +115,9 @@ class AccessEngine {
   // (`huge`) or 4 KiB page of [start, start+len), in address order, the
   // i-th issued from socket_of(i). Equivalent to Apply on each, except that
   // no accessed/dirty bit is set: each run of same-socket mappings is
-  // placed by PlaceRun and charged at once. Attached per-access observers
-  // (the tracker, HMC caches, an enabled PEBS engine) still see every write.
+  // placed by PlaceRun and charged at once. HMC caches and an enabled PEBS
+  // engine still see every write; the tracker, which counts the access
+  // phase only, sees none.
   void Prefault(VirtAddr start, Bytes len, bool huge,
                 const std::function<u32(u64)>& socket_of);
 

@@ -7,7 +7,10 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "bench/bench_util.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/core/driver.h"
@@ -261,6 +264,49 @@ TEST(DriverTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.total_ns(), b.total_ns());
   EXPECT_EQ(a.total_accesses, b.total_accesses);
   EXPECT_EQ(a.migration_stats.bytes_migrated, b.migration_stats.bytes_migrated);
+}
+
+// The bench runner: cells run in parallel must give what a serial loop over
+// the same cells gives, in cell order.
+using Cell = std::pair<std::string, SolutionKind>;
+
+std::vector<std::string> RenderSerial(const std::vector<Cell>& cells,
+                                      const ExperimentConfig& config) {
+  std::vector<std::string> out;
+  for (const Cell& cell : cells) {
+    out.push_back(Render(RunExperiment(cell.first, cell.second, config), ReportFormat::kJson));
+  }
+  return out;
+}
+
+std::vector<std::string> RenderMatrix(const std::vector<Cell>& cells,
+                                      const ExperimentConfig& config) {
+  std::vector<std::string> out;
+  for (const RunResult& r : benchutil::RunMatrix(cells, [&config](const Cell& cell) {
+         return RunExperiment(cell.first, cell.second, config);
+       })) {
+    out.push_back(Render(r, ReportFormat::kJson));
+  }
+  return out;
+}
+
+TEST(RunMatrixTest, MatchesSerialLoopInCellOrder) {
+  const ExperimentConfig config = TinyConfig();
+  std::vector<Cell> cells;  // unequal costs, so threads finish out of order
+  for (const char* workload : {"gups", "voltdb", "pingpong"}) {
+    for (SolutionKind kind : {SolutionKind::kFirstTouch, SolutionKind::kHmc, SolutionKind::kMtm}) {
+      cells.emplace_back(workload, kind);
+    }
+  }
+  const std::vector<std::string> serial = RenderSerial(cells, config);
+  EXPECT_EQ(RenderMatrix(cells, config), serial);
+}
+
+TEST(RunMatrixTest, ZeroAndOneCell) {
+  const ExperimentConfig config = TinyConfig();
+  EXPECT_TRUE(RenderMatrix({}, config).empty());
+  const std::vector<Cell> one = {{"gups", SolutionKind::kMtm}};
+  EXPECT_EQ(RenderMatrix(one, config), RenderSerial(one, config));
 }
 
 // voltdb at scale 64 with a 1 ms interval keeps ~1.6k regions against a
