@@ -21,6 +21,9 @@ MigrationHistory::Outcome MigrationHistory::RecordMove(VirtAddr start, bool is_p
   if (e.last_direction == -direction && !opposite_at.IsZero() &&
       now - opposite_at <= tuning_.flip_window_ns) {
     ++e.flips;
+    if (e.pingpong_score == 0.0) {
+      scored_.push_back(HugeAlignDown(start));
+    }
     e.pingpong_score += 1.0;
     out.flipped = true;
   }
@@ -36,8 +39,17 @@ MigrationHistory::Outcome MigrationHistory::RecordMove(VirtAddr start, bool is_p
 }
 
 void MigrationHistory::EndInterval() {
-  for (auto& [start, e] : table_) {
-    e.pingpong_score *= tuning_.score_decay;
+  // A zero score stays zero, so only the scored records decay; one that
+  // decays to zero leaves the list.
+  for (std::size_t i = 0; i < scored_.size();) {
+    double& score = table_.find(scored_[i])->second.pingpong_score;
+    score *= tuning_.score_decay;
+    if (score == 0.0) {
+      scored_[i] = scored_.back();
+      scored_.pop_back();
+    } else {
+      ++i;
+    }
   }
 }
 
@@ -48,8 +60,8 @@ const RegionMigrationHistory* MigrationHistory::Find(VirtAddr addr) const {
 
 double MigrationHistory::MaxPingPongScore() const {
   double max_score = 0.0;
-  for (const auto& [start, e] : table_) {
-    max_score = std::max(max_score, e.pingpong_score);
+  for (VirtAddr start : scored_) {
+    max_score = std::max(max_score, table_.find(start)->second.pingpong_score);
   }
   return max_score;
 }

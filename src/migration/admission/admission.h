@@ -106,14 +106,14 @@ class MigrationHistory {
   // Records a committed move of `bytes` for the region containing `start`.
   Outcome RecordMove(VirtAddr start, bool is_promotion, Bytes bytes, SimNanos now);
 
-  // Interval boundary: decays every region's ping-pong score.
+  // Interval boundary: decays every region's ping-pong score. Its cost
+  // follows the regions with a nonzero score, not the table.
   void EndInterval();
 
   // Entry for the region containing `addr`, or null if it never migrated.
   const RegionMigrationHistory* Find(VirtAddr addr) const;
 
-  // Maximum ping-pong score across all regions (0 when empty). Iterates the
-  // std::map, so the result is deterministic.
+  // Maximum ping-pong score across all regions (0 when none is scored).
   double MaxPingPongScore() const;
 
   std::size_t size() const { return table_.size(); }
@@ -122,6 +122,9 @@ class MigrationHistory {
  private:
   AdmissionTuning tuning_;
   std::map<VirtAddr, RegionMigrationHistory> table_;
+  // Keys of the records whose ping-pong score is nonzero, in no order. Keys,
+  // not pointers: a copy of the history must not point into the original.
+  std::vector<VirtAddr> scored_;
 };
 
 // One order as seen by the admission stage. `bytes` is what actually still

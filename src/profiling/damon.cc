@@ -1,9 +1,7 @@
 #include "src/profiling/damon.h"
 
 #include <algorithm>
-#include <vector>
 
-#include "src/common/logging.h"
 #include "src/common/types.h"
 
 namespace mtm {
@@ -18,8 +16,8 @@ void DamonProfiler::Initialize() {
 
 void DamonProfiler::OnIntervalStart() {
   scans_this_interval_ = 0;
-  for (auto& [start, region] : regions_) {
-    state_[region.id].nr_accesses = 0;
+  for (const Region& region : regions_) {
+    state_[region.start.value()].nr_accesses = 0;
   }
 }
 
@@ -27,8 +25,8 @@ void DamonProfiler::OnScanTick(u32 /*tick*/) {
   // DAMON's access check: read the accessed bit of the page it mkold'ed at
   // the previous tick (so the bit reflects exactly one sampling window),
   // then pick a new random page and mkold it for the next tick.
-  for (auto& [start, region] : regions_) {
-    DamonState& st = state_[region.id];
+  for (const Region& region : regions_) {
+    DamonState& st = state_[region.start.value()];
     if (!st.sampled.IsZero() && st.sampled >= region.start && st.sampled < region.end) {
       bool accessed = false;
       if (page_table_.ScanAccessed(st.sampled, &accessed) && accessed) {
@@ -48,72 +46,55 @@ void DamonProfiler::OnScanTick(u32 /*tick*/) {
 ProfileOutput DamonProfiler::OnIntervalEnd() {
   ProfileOutput out;
 
-  // Update the age-smoothed estimates before structural changes.
-  for (auto& [start, region] : regions_) {
-    DamonState& st = state_[region.id];
-    st.smoothed = 0.5 * st.smoothed + 0.5 * static_cast<double>(st.nr_accesses);
-  }
+  // Merge walk: each region's age-smoothed estimate is updated before any
+  // comparison reads it; adjacent regions with similar estimates merge.
+  std::size_t live = regions_.size();
+  regions_.Walk(
+      [&](const Region& r) {
+        DamonState& st = state_[r.start.value()];
+        st.smoothed = 0.5 * st.smoothed + 0.5 * static_cast<double>(st.nr_accesses);
+      },
+      [&](const Region& a, const Region& b) {
+        const DamonState sa = state_[a.start.value()];
+        const DamonState sb = state_[b.start.value()];
+        if (std::abs(sa.smoothed - sb.smoothed) > config_.merge_threshold ||
+            live <= config_.min_regions) {
+          return false;
+        }
+        state_.erase(b.start.value());
+        DamonState& merged = state_[a.start.value()];
+        merged.nr_accesses = std::max(sa.nr_accesses, sb.nr_accesses);
+        merged.smoothed = std::max(sa.smoothed, sb.smoothed);
+        --live;
+        ++out.regions_merged;
+        return true;
+      },
+      [](Region&, RegionMap::Cuts&) {});
 
-  // Merge pass: adjacent regions with similar smoothed access estimates.
-  auto it = regions_.begin();
-  while (it != regions_.end()) {
-    auto next = std::next(it);
-    if (next == regions_.end()) {
-      break;
-    }
-    Region& a = it->second;
-    Region& b = next->second;
-    u32 ca = state_[a.id].nr_accesses;
-    u32 cb = state_[b.id].nr_accesses;
-    double diff = std::abs(state_[a.id].smoothed - state_[b.id].smoothed);
-    if (a.end == b.start && diff <= config_.merge_threshold &&
-        regions_.size() > config_.min_regions) {
-      u32 merged = std::max(ca, cb);
-      double smoothed = std::max(state_[a.id].smoothed, state_[b.id].smoothed);
-      state_.erase(b.id);
-      it = regions_.MergeWithNext(it);
-      MTM_CHECK(it != regions_.end());
-      state_[it->second.id].nr_accesses = merged;
-      state_[it->second.id].smoothed = smoothed;
-      ++out.regions_merged;
-      continue;
-    }
-    ++it;
-  }
-
-  // Split pass: if fewer than half the budget exists, split every region in
+  // Split walk: if fewer than half the budget exists, split every region in
   // two at a random point (DAMON's ad-hoc split).
   if (regions_.size() < config_.max_regions / 2) {
-    std::vector<VirtAddr> starts;
-    starts.reserve(regions_.size());
-    for (auto& [start, region] : regions_) {
-      starts.push_back(start);
-    }
-    for (VirtAddr start : starts) {
-      if (regions_.size() >= config_.max_regions) {
-        break;
-      }
-      auto rit = regions_.FindContaining(start);
-      MTM_CHECK(rit != regions_.end());
-      Region& r = rit->second;
-      u64 pages = r.bytes() / kPageBytes;
-      if (pages < 2) {
-        continue;
-      }
-      // Random split offset in [1, pages-1], page aligned, huge-unaware.
-      VirtAddr split_at = r.start + PagesToBytes(1 + rng_.NextBounded(pages - 1));
-      RegionMap::iterator first;
-      RegionMap::iterator second;
-      if (regions_.Split(rit, split_at, &first, &second)) {
-        DamonState parent = state_[first->second.id];
-        state_[second->second.id] = parent;
-        ++out.regions_split;
-      }
-    }
+    regions_.Walk([](const Region&) {}, [](const Region&, const Region&) { return false; },
+                  [&](Region& r, RegionMap::Cuts& cuts) {
+                    u64 pages = r.bytes() / kPageBytes;
+                    if (live >= config_.max_regions || pages < 2) {
+                      return;
+                    }
+                    // Random split offset in [1, pages-1], page aligned,
+                    // huge-unaware.
+                    VirtAddr split_at =
+                        r.start + PagesToBytes(1 + rng_.NextBounded(pages - 1));
+                    if (cuts.Cut(r, split_at) != nullptr) {
+                      const DamonState parent = state_[r.start.value()];
+                      state_[split_at.value()] = parent;
+                      ++live;
+                      ++out.regions_split;
+                    }
+                  });
   }
 
-  for (auto& [start, region] : regions_) {
-    DamonState& st = state_[region.id];
+  for (const Region& region : regions_) {
+    const DamonState& st = state_[region.start.value()];
     HotnessEntry e;
     e.start = region.start;
     e.len = region.bytes();
@@ -130,7 +111,7 @@ ProfileOutput DamonProfiler::OnIntervalEnd() {
 }
 
 Bytes DamonProfiler::MemoryOverheadBytes() const {
-  return Bytes(regions_.size() * (sizeof(Region) + sizeof(DamonState) + sizeof(void*) * 4));
+  return Bytes(regions_.size() * (kModeledRegionBytes + sizeof(DamonState) + sizeof(void*) * 4));
 }
 
 }  // namespace mtm

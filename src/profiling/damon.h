@@ -63,7 +63,7 @@ class DamonProfiler : public Profiler {
   Config config_;
   Rng rng_;
   RegionMap regions_;
-  // Keyed by region id (region.sample_hits is unused by DAMON).
+  // Keyed by region start (Region's MTM sample state is unused by DAMON).
   std::unordered_map<u64, DamonState> state_;
   u64 scans_this_interval_ = 0;
 };

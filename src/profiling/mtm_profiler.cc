@@ -44,9 +44,6 @@ void MtmProfiler::Initialize() {
   for (const Vma& vma : address_space_.vmas()) {
     regions_.SeedRange(vma.start, vma.end(), config_.default_region_bytes);
   }
-  for (auto& [start, region] : regions_) {
-    region.socket_hits.assign(machine_.num_sockets(), 0);
-  }
 }
 
 bool MtmProfiler::IsSlowTierRegion(const Region& r) const {
@@ -76,14 +73,13 @@ void MtmProfiler::SelectSamples() {
   // erased one; a merge product or a left split half keeps its start (and
   // its samples), and a right split half starts with none.
   for (VirtAddr start : sampled_starts_) {
-    if (auto it = regions_.Find(start); it != regions_.end()) {
-      it->second.sampled_pages.clear();
-      it->second.sample_hits.clear();
+    if (Region* region = regions_.Find(start)) {
+      region->samples.clear();
     }
   }
   sampled_starts_.clear();
 
-  for (auto& [start, region] : regions_) {
+  for (Region& region : regions_) {
     if (used >= num_ps) {
       break;  // over budget: overhead control will merge regions down
     }
@@ -107,10 +103,9 @@ void MtmProfiler::SelectSamples() {
       chosen.insert(rng_.NextBounded(pages));
     }
     for (u64 page : chosen) {
-      region.sampled_pages.push_back(region.start + PagesToBytes(page));
-      region.sample_hits.push_back(0);
+      region.samples.push_back(Sample{region.start + PagesToBytes(page)});
     }
-    sampled_starts_.push_back(start);
+    sampled_starts_.push_back(region.start);
     used += quota;
   }
   // Prime: clear any stale accessed bit so the first scan measures this
@@ -128,24 +123,19 @@ void MtmProfiler::NominateFromPebs() {
   pebs_samples_drained_ += samples.size();
   std::unordered_set<u64> nominated;
   for (const PebsSample& s : samples) {
-    auto it = regions_.FindContaining(s.addr);
-    if (it == regions_.end()) {
-      continue;
-    }
-    Region& region = it->second;
-    if (!IsSlowTierRegion(region)) {
+    Region* region = regions_.FindContaining(s.addr);
+    if (region == nullptr || !IsSlowTierRegion(*region)) {
       continue;  // fast-tier regions are already sampled
     }
-    if (!nominated.insert(region.id).second) {
+    if (!nominated.insert(region->start.value()).second) {
       continue;  // one sample per slow region: the PEBS-captured page
     }
     // No priming here: the PEBS event itself proves this page was accessed
     // this interval, so the first scan's accessed bit is evidence.
-    if (region.sampled_pages.empty()) {
-      sampled_starts_.push_back(region.start);
+    if (region->samples.empty()) {
+      sampled_starts_.push_back(region->start);
     }
-    region.sampled_pages.push_back(PageAlignDown(s.addr));
-    region.sample_hits.push_back(0);
+    region->samples.push_back(Sample{PageAlignDown(s.addr)});
     pebs_nominations_.push_back(s.addr);
   }
   std::sort(sampled_starts_.begin(), sampled_starts_.end());
@@ -162,25 +152,24 @@ void MtmProfiler::ScanSampledPages(ScanMode mode) {
   const u64 hint_period = config_.hint_fault_period;
   u64 scanned = 0;  // 1-based global scan index after each increment
   for (VirtAddr start : sampled_starts_) {
-    auto it = regions_.Find(start);
-    if (it == regions_.end()) {
+    Region* region = regions_.Find(start);
+    if (region == nullptr) {
       continue;  // merged away since it was sampled: its samples went with it
     }
-    Region& region = it->second;
-    for (std::size_t i = 0; i < region.sampled_pages.size(); ++i) {
+    for (Sample& sample : region->samples) {
       bool accessed = false;
-      const bool mapped = page_table_.ScanAccessed(region.sampled_pages[i], &accessed);
+      const bool mapped = page_table_.ScanAccessed(sample.page, &accessed);
       ++scanned;
       if (mode == ScanMode::kPrime) {
         continue;  // clearing the stale bit is the whole job
       }
       if (mapped && accessed) {
-        ++region.sample_hits[i];
+        ++sample.hits;
       }
       // Every hint_fault_period-th scan arms a hint fault on the scanned
       // page so the next access reveals the accessing socket (§6.2).
       if (mapped && (hint_base + scanned) % hint_period == 0) {
-        page_table_.Find(region.sampled_pages[i])->Set(Pte::kHintArmed);
+        page_table_.Find(sample.page)->Set(Pte::kHintArmed);
       }
     }
   }
@@ -205,24 +194,20 @@ void MtmProfiler::OnScanTick(u32 tick) {
 void MtmProfiler::UpdateSocketAttribution() {
   std::vector<HintFaultEvent> events = engine_.DrainHintFaults();
   for (const HintFaultEvent& e : events) {
-    auto it = regions_.FindContaining(e.addr);
-    if (it != regions_.end()) {
-      if (it->second.socket_hits.size() != machine_.num_sockets()) {
-        it->second.socket_hits.assign(machine_.num_sockets(), 0);
-      }
-      ++it->second.socket_hits[e.socket];
+    if (Region* region = regions_.FindContaining(e.addr)) {
+      ++region->socket_hits[e.socket];
     }
   }
 }
 
 void MtmProfiler::UpdateHotness(Region& region) {
   region.prev_hi = region.hi;
-  if (!region.sampled_pages.empty()) {
+  if (!region.samples.empty()) {
     double sum = 0.0;
-    for (u32 hits : region.sample_hits) {
-      sum += static_cast<double>(hits);
+    for (const Sample& sample : region.samples) {
+      sum += static_cast<double>(sample.hits);
     }
-    region.hi = sum / static_cast<double>(region.sampled_pages.size());
+    region.hi = sum / static_cast<double>(region.samples.size());
   } else {
     // Unprofiled slow-tier region with no PEBS activity: observed cold.
     region.hi = 0.0;
@@ -239,119 +224,100 @@ void MtmProfiler::UpdateHotness(Region& region) {
   }
 }
 
-void MtmProfiler::MergePass(ProfileOutput& out) {
-  // Each region's hotness is updated just before its first comparison: the
-  // first region here, every other one when it becomes `next`. One walk
-  // thus does both jobs, and every merge sees this interval's HI.
-  auto it = regions_.begin();
-  if (it != regions_.end()) {
-    UpdateHotness(it->second);
+bool MtmProfiler::TryMerge(Region& a, const Region& b, ProfileOutput& out) {
+  if (std::abs(a.hi - b.hi) >= tau_m_current_ || (a.samples.empty() && b.samples.empty())) {
+    return false;  // dissimilar, or neither region profiled
   }
-  while (it != regions_.end()) {
-    auto next = std::next(it);
-    if (next == regions_.end()) {
-      break;
+  // Never merge a union whose combined sample disparity already exceeds
+  // the split threshold: the merged region would immediately qualify for
+  // splitting, and the merge/split churn would erase refinement.
+  u32 min_hit = ~0u;
+  u32 max_hit = 0;
+  for (const Region* r : {static_cast<const Region*>(&a), &b}) {
+    for (const Sample& sample : r->samples) {
+      min_hit = std::min(min_hit, sample.hits);
+      max_hit = std::max(max_hit, sample.hits);
     }
-    UpdateHotness(next->second);
-    Region& a = it->second;
-    Region& b = next->second;
-    bool adjacent = a.end == b.start;
-    bool similar = std::abs(a.hi - b.hi) < tau_m_current_;
-    bool both_profiled = !a.sampled_pages.empty() || !b.sampled_pages.empty();
-    // Never merge a union whose combined sample disparity already exceeds
-    // the split threshold: the merged region would immediately qualify for
-    // splitting, and the merge/split churn would erase refinement.
-    u32 min_hit = ~0u;
-    u32 max_hit = 0;
-    for (const Region* r : {&a, &b}) {
-      for (u32 h : r->sample_hits) {
-        min_hit = std::min(min_hit, h);
-        max_hit = std::max(max_hit, h);
-      }
-    }
-    bool split_worthy =
-        min_hit != ~0u && static_cast<double>(max_hit - min_hit) > config_.tau_s;
-    // Regions resident on different components never merge: a merged region
-    // headed by fast-tier pages would hide its slow-tier tail from the
-    // PEBS-assisted slow-tier profiling path and from residency probes. This
-    // test costs two page-table lookups, so it runs only when every cheap
-    // test has passed.
-    if (adjacent && similar && both_profiled && !split_worthy &&
-        page_table_.RangeComponent(a.start, a.bytes()) ==
-            page_table_.RangeComponent(b.start, b.bytes())) {
-      // Combined sample total is halved, floor one (§5.2); the freed quota
-      // goes to the redistribution pool.
-      u32 combined = a.sample_quota + b.sample_quota;
-      u32 new_quota = std::max<u32>(1, combined / 2);
-      quota_pool_ += combined - new_quota;
-      double merged_hi = (a.hi * static_cast<double>(a.bytes().value()) +
-                          b.hi * static_cast<double>(b.bytes().value())) /
-                         static_cast<double>((a.bytes() + b.bytes()).value());
-      double merged_whi;
-      bool whi_init = a.whi_initialized || b.whi_initialized;
-      if (a.whi_initialized && b.whi_initialized) {
-        merged_whi = (a.whi + b.whi) / 2.0;
-      } else {
-        merged_whi = a.whi_initialized ? a.whi : b.whi;
-      }
-      for (u32 s = 0; s < machine_.num_sockets(); ++s) {
-        a.socket_hits[s] += s < b.socket_hits.size() ? b.socket_hits[s] : 0;
-      }
-      it = regions_.MergeWithNext(it);
-      MTM_CHECK(it != regions_.end());
-      it->second.sample_quota = new_quota;
-      it->second.hi = merged_hi;
-      it->second.whi = merged_whi;
-      it->second.whi_initialized = whi_init;
-      ++out.regions_merged;
-      continue;  // try to extend the merge run
-    }
-    ++it;
+  }
+  if (min_hit != ~0u && static_cast<double>(max_hit - min_hit) > config_.tau_s) {
+    return false;
+  }
+  // Regions resident on different components never merge: a merged region
+  // headed by fast-tier pages would hide its slow-tier tail from the
+  // PEBS-assisted slow-tier profiling path and from residency probes. This
+  // test costs two page-table lookups, so it runs only when every cheap
+  // test has passed.
+  if (page_table_.RangeComponent(a.start, a.bytes()) !=
+      page_table_.RangeComponent(b.start, b.bytes())) {
+    return false;
+  }
+  // Combined sample total is halved, floor one (§5.2); the freed quota
+  // goes to the redistribution pool. The merged region keeps a's samples.
+  u32 combined = a.sample_quota + b.sample_quota;
+  u32 new_quota = std::max<u32>(1, combined / 2);
+  quota_pool_ += combined - new_quota;
+  a.sample_quota = new_quota;
+  a.hi = (a.hi * static_cast<double>(a.bytes().value()) +
+          b.hi * static_cast<double>(b.bytes().value())) /
+         static_cast<double>((a.bytes() + b.bytes()).value());
+  if (a.whi_initialized && b.whi_initialized) {
+    a.whi = (a.whi + b.whi) / 2.0;
+  } else if (!a.whi_initialized) {
+    a.whi = b.whi;
+  }
+  a.whi_initialized = a.whi_initialized || b.whi_initialized;
+  for (u32 s = 0; s < kMaxSockets; ++s) {
+    a.socket_hits[s] += b.socket_hits[s];
+  }
+  ++out.regions_merged;
+  return true;
+}
+
+void MtmProfiler::Close(Region& region, RegionMap::Cuts& cuts, ProfileOutput& out) const {
+  // Intra-region disparity of this interval's sample hits: the split test
+  // and the policy view's skew.
+  u32 spread = 0;
+  if (region.samples.size() >= 2) {
+    auto [min_it, max_it] = std::minmax_element(
+        region.samples.begin(), region.samples.end(),
+        [](const Sample& x, const Sample& y) { return x.hits < y.hits; });
+    spread = max_it->hits - min_it->hits;
+  }
+  Region* right = nullptr;
+  if (config_.adaptive_regions && region.samples.size() >= 2 &&
+      static_cast<double>(spread) > config_.tau_s) {
+    right = cuts.Cut(region, RegionMap::SplitPoint(region));
+  }
+  if (right != nullptr) {
+    // Quota splits evenly; total scans unchanged (§5.2).
+    u32 q = region.sample_quota;
+    region.sample_quota = std::max<u32>(1, q / 2);
+    right->sample_quota = std::max<u32>(1, q - q / 2);
+    ++out.regions_split;
+  }
+  Emit(region, spread, out);
+  if (right != nullptr) {
+    Emit(*right, 0, out);
   }
 }
 
-void MtmProfiler::SplitPass(ProfileOutput& out) {
-  std::vector<VirtAddr> to_split;
-  for (VirtAddr start : sampled_starts_) {
-    auto it = regions_.Find(start);
-    if (it == regions_.end()) {
-      continue;  // merged into its predecessor, which holds none of its samples
-    }
-    const Region& region = it->second;
-    if (region.sample_hits.size() < 2) {
-      continue;
-    }
-    auto [min_it, max_it] =
-        std::minmax_element(region.sample_hits.begin(), region.sample_hits.end());
-    if (static_cast<double>(*max_it - *min_it) > config_.tau_s) {
-      to_split.push_back(start);
+void MtmProfiler::Emit(const Region& region, u32 spread, ProfileOutput& out) const {
+  HotnessEntry& e = out.entries.emplace_back();
+  e.start = region.start;
+  e.len = region.bytes();
+  e.hotness = region.whi;
+  e.latest_hi = region.hi;
+  e.prev_hi = region.prev_hi;
+  e.skew = static_cast<double>(spread) / static_cast<double>(std::max<u32>(1, config_.num_scans));
+  u32 best_hits = 0;
+  for (u32 s = 0; s < kMaxSockets; ++s) {
+    if (region.socket_hits[s] > best_hits) {
+      best_hits = region.socket_hits[s];
+      e.preferred_socket = s;
     }
   }
-  for (VirtAddr start : to_split) {
-    auto it = regions_.FindContaining(start);
-    MTM_CHECK(it != regions_.end());
-    VirtAddr split_at = RegionMap::SplitPoint(it->second);
-    if (split_at.IsZero()) {
-      continue;
-    }
-    RegionMap::iterator first;
-    RegionMap::iterator second;
-    if (!regions_.Split(it, split_at, &first, &second)) {
-      continue;
-    }
-    // Quota splits evenly; total scans unchanged (§5.2). Both halves
-    // inherit the parent's hotness history.
-    Region& left = first->second;
-    Region& right = second->second;
-    u32 q = left.sample_quota;
-    left.sample_quota = std::max<u32>(1, q / 2);
-    right.sample_quota = std::max<u32>(1, q - q / 2);
-    right.hi = left.hi;
-    right.prev_hi = left.prev_hi;
-    right.whi = left.whi;
-    right.whi_initialized = left.whi_initialized;
-    right.socket_hits = left.socket_hits;
-    ++out.regions_split;
+  if (region.whi >= config_.hot_whi_threshold) {
+    out.hot_bytes += region.bytes();
   }
 }
 
@@ -376,7 +342,7 @@ void MtmProfiler::RedistributeQuota() {
   u64 total = 0;
   std::vector<Region*> all;
   all.reserve(regions_.size());
-  for (auto& [start, region] : regions_) {
+  for (Region& region : regions_) {
     total += region.sample_quota;
     all.push_back(&region);
   }
@@ -422,14 +388,16 @@ ProfileOutput MtmProfiler::OnIntervalEnd() {
   ProfileOutput out;
   UpdateSocketAttribution();
 
-  if (config_.adaptive_regions) {
-    MergePass(out);  // updates every region's hotness on the way
-    SplitPass(out);
-  } else {
-    for (auto& [start, region] : regions_) {
-      UpdateHotness(region);
-    }
-  }
+  // One walk over the table: every region's HI/WHI update, the merge with
+  // its successor (which needs both fresh HIs), the split test and its
+  // entries in the policy view. Without adaptive regions nothing merges or
+  // splits.
+  out.entries.reserve(regions_.size());
+  regions_.Walk([this](Region& r) { UpdateHotness(r); },
+                [&](Region& a, const Region& b) {
+                  return config_.adaptive_regions && TryMerge(a, b, out);
+                },
+                [&](Region& r, RegionMap::Cuts& cuts) { Close(r, cuts, out); });
 
   // Overhead control (§5.3): if the region count exceeds the sample budget,
   // escalate tau_m across intervals until merging catches up, then reset.
@@ -442,42 +410,6 @@ ProfileOutput MtmProfiler::OnIntervalEnd() {
       tau_m_current_ = config_.tau_m;
     }
     RedistributeQuota();
-  }
-
-  // Emit the policy view.
-  out.entries.reserve(regions_.size());
-  for (auto& [start, region] : regions_) {
-    HotnessEntry e;
-    e.start = region.start;
-    e.len = region.bytes();
-    e.hotness = region.whi;
-    e.latest_hi = region.hi;
-    e.prev_hi = region.prev_hi;
-    // Intra-region disparity of this interval's sample hits, the same
-    // signal the split pass thresholds with tau_s, normalized to [0, 1].
-    if (region.sample_hits.size() >= 2) {
-      u32 min_hits = region.sample_hits[0];
-      u32 max_hits = region.sample_hits[0];
-      for (u32 hits : region.sample_hits) {
-        min_hits = std::min(min_hits, hits);
-        max_hits = std::max(max_hits, hits);
-      }
-      e.skew = static_cast<double>(max_hits - min_hits) /
-               static_cast<double>(std::max<u32>(1, config_.num_scans));
-    }
-    u32 best_socket = 0;
-    u32 best_hits = 0;
-    for (u32 s = 0; s < region.socket_hits.size(); ++s) {
-      if (region.socket_hits[s] > best_hits) {
-        best_hits = region.socket_hits[s];
-        best_socket = s;
-      }
-    }
-    e.preferred_socket = best_socket;
-    out.entries.push_back(e);
-    if (region.whi >= config_.hot_whi_threshold) {
-      out.hot_bytes += region.bytes();
-    }
   }
 
   out.pte_scans = scans_this_interval_;
@@ -499,11 +431,11 @@ ProfileOutput MtmProfiler::OnIntervalEnd() {
 Bytes MtmProfiler::MemoryOverheadBytes() const {
   // Region metadata: begin address + offset, current and historical hotness
   // (two floats), quota, and the socket tallies — per §5.3's accounting.
-  u64 per_region = sizeof(Region) + machine_.num_sockets() * sizeof(u32);
+  u64 per_region = kModeledRegionBytes + machine_.num_sockets() * sizeof(u32);
+  // Each sample is priced as its page address and its hit count.
   u64 samples = 0;
-  for (const auto& [start, region] : regions_) {
-    samples += region.sampled_pages.capacity() * sizeof(VirtAddr) +
-               region.sample_hits.capacity() * sizeof(u32);
+  for (const Region& region : regions_) {
+    samples += region.samples.capacity() * (sizeof(VirtAddr) + sizeof(u32));
   }
   // Hash-map index over address ranges (§9.1) modeled at ~1.5x node cost.
   u64 index = regions_.size() * (sizeof(void*) * 4 + sizeof(u64));

@@ -103,10 +103,14 @@ class MtmProfiler : public Profiler {
   // Hint faults are armed after the pass, by global scan index.
   void ScanSampledPages(ScanMode mode);
 
-  // HI and WHI updates (§5.1, §6.1) and the socket-attribution decay.
+  // The interval-end walk's three steps. UpdateHotness: HI and WHI
+  // (§5.1, §6.1) and the socket-attribution decay. TryMerge: folds the
+  // adjacent `b` into `a` if they qualify (§5.1, §5.2). Close: the split
+  // test on a region whose merge run has ended, and its entries.
   void UpdateHotness(Region& region);
-  void MergePass(ProfileOutput& out);
-  void SplitPass(ProfileOutput& out);
+  bool TryMerge(Region& a, const Region& b, ProfileOutput& out);
+  void Close(Region& region, RegionMap::Cuts& cuts, ProfileOutput& out) const;
+  void Emit(const Region& region, u32 spread, ProfileOutput& out) const;
   void RedistributeQuota();
   void UpdateSocketAttribution();
 
@@ -130,9 +134,9 @@ class MtmProfiler : public Profiler {
   bool pebs_window_open_ = false;
   std::vector<VirtAddr> pebs_nominations_;
   // Start addresses of the regions holding samples this interval, in
-  // address order: the only regions the scan passes, the split pass and the
-  // next interval's sample reset visit, so their cost follows the sample
-  // budget rather than the region count (§5.3).
+  // address order: the only regions the scan passes and the next interval's
+  // sample reset visit, so their cost follows the sample budget rather than
+  // the region count (§5.3).
   std::vector<VirtAddr> sampled_starts_;
 };
 

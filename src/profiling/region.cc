@@ -1,84 +1,105 @@
 #include "src/profiling/region.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 
 namespace mtm {
+
+namespace {
+
+bool StartsBefore(const Region& r, VirtAddr addr) { return r.start < addr; }
+
+}  // namespace
+
+Region* RegionMap::Cuts::Cut(Region& region, VirtAddr at) {
+  if (at <= region.start || at >= region.end) {
+    return nullptr;
+  }
+  MTM_CHECK(rights_.empty() || rights_.back().start < at);
+  std::vector<Sample> samples = std::move(region.samples);  // leaves it empty
+  Region& right = rights_.emplace_back(region);
+  region.samples = std::move(samples);
+  right.start = at;
+  region.end = at;
+  return &right;
+}
 
 void RegionMap::SeedRange(VirtAddr start, VirtAddr end, Bytes region_bytes) {
   MTM_CHECK_LT(start, end);
   MTM_CHECK_GT(region_bytes, Bytes{});
   const u64 stride = region_bytes.value();
+  std::vector<Region> seeded;
+  seeded.reserve((end.value() - 1) / stride - start.value() / stride + 1);
   VirtAddr cursor = start;
   while (cursor < end) {
     VirtAddr next = cursor - cursor.value() % stride + stride;
     if (next > end) {
       next = end;
     }
-    Region r;
-    r.id = next_id_++;
+    Region& r = seeded.emplace_back();
     r.start = cursor;
     r.end = next;
-    regions_.emplace(cursor, std::move(r));
-    ++total_seeded_;
     cursor = next;
   }
+  Insert(std::move(seeded));
 }
 
 void RegionMap::SeedWhole(VirtAddr start, VirtAddr end) {
   MTM_CHECK_LT(start, end);
-  Region r;
-  r.id = next_id_++;
-  r.start = start;
-  r.end = end;
-  regions_.emplace(start, std::move(r));
-  ++total_seeded_;
+  std::vector<Region> seeded(1);
+  seeded[0].start = start;
+  seeded[0].end = end;
+  Insert(std::move(seeded));
 }
 
-RegionMap::iterator RegionMap::FindContaining(VirtAddr addr) {
-  auto it = regions_.upper_bound(addr);
+void RegionMap::Insert(std::vector<Region> seeded) {
+  if (regions_.empty()) {
+    regions_ = std::move(seeded);
+    return;
+  }
+  auto at = std::lower_bound(regions_.begin(), regions_.end(), seeded.front().start,
+                             StartsBefore);
+  MTM_CHECK(at == regions_.end() || seeded.back().end <= at->start);
+  MTM_CHECK(at == regions_.begin() || std::prev(at)->end <= seeded.front().start);
+  regions_.insert(at, std::make_move_iterator(seeded.begin()),
+                  std::make_move_iterator(seeded.end()));
+}
+
+Region* RegionMap::FindContaining(VirtAddr addr) {
+  auto it = std::upper_bound(regions_.begin(), regions_.end(), addr,
+                             [](VirtAddr a, const Region& r) { return a < r.start; });
   if (it == regions_.begin()) {
-    return regions_.end();
+    return nullptr;
   }
   --it;
-  if (addr >= it->second.start && addr < it->second.end) {
-    return it;
-  }
-  return regions_.end();
+  return addr < it->end ? &*it : nullptr;
 }
 
-RegionMap::iterator RegionMap::MergeWithNext(iterator it) {
-  MTM_CHECK(it != regions_.end());
-  auto next = std::next(it);
-  if (next == regions_.end() || next->second.start != it->second.end) {
-    return regions_.end();
-  }
-  it->second.end = next->second.end;
-  regions_.erase(next);
-  ++total_merges_;
-  return it;
+Region* RegionMap::Find(VirtAddr start) {
+  auto it = std::lower_bound(regions_.begin(), regions_.end(), start, StartsBefore);
+  return it != regions_.end() && it->start == start ? &*it : nullptr;
 }
 
-bool RegionMap::Split(iterator it, VirtAddr split_addr, iterator* first, iterator* second) {
-  MTM_CHECK(it != regions_.end());
-  Region& r = it->second;
-  if (split_addr <= r.start || split_addr >= r.end) {
-    return false;
+void RegionMap::InsertCuts() {
+  std::vector<Region>& rights = cuts_.rights_;
+  if (rights.empty()) {
+    return;
   }
-  Region right;
-  right.id = next_id_++;
-  right.start = split_addr;
-  right.end = r.end;
-  r.end = split_addr;
-  auto [rit, inserted] = regions_.emplace(right.start, std::move(right));
-  MTM_CHECK(inserted);
-  if (first != nullptr) {
-    *first = it;
+  // Backward merge of two address-ordered runs: every region ahead of the
+  // first right half stays where it is.
+  std::size_t i = regions_.size();
+  std::size_t j = rights.size();
+  regions_.resize(i + j);
+  std::size_t dst = regions_.size();
+  while (j > 0) {
+    if (i > 0 && regions_[i - 1].start > rights[j - 1].start) {
+      regions_[--dst] = std::move(regions_[--i]);
+    } else {
+      regions_[--dst] = std::move(rights[--j]);
+    }
   }
-  if (second != nullptr) {
-    *second = rit;
-  }
-  ++total_splits_;
-  return true;
+  rights.clear();
 }
 
 VirtAddr RegionMap::SplitPoint(const Region& region) {

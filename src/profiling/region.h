@@ -1,7 +1,8 @@
-// Memory regions and the region map used by MTM's adaptive profiler (§5.1).
+// Memory regions and the region table used by MTM's adaptive profiler (§5.1)
+// and the DAMON baseline.
 //
 // A region is a contiguous virtual address range inside one VMA. Regions
-// default to the span of a last-level page directory entry (2 MiB). The map
+// default to the span of a last-level page directory entry (2 MiB). The table
 // supports the paper's two structural operations:
 //   * merge of two adjacent regions whose hotness differs by less than τm;
 //   * split of one region into two halves when the intra-region sample
@@ -10,32 +11,39 @@
 // Merging and splitting act on *logical* regions only; no PTE changes.
 #pragma once
 
-#include <map>
+#include <array>
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/sim/machine.h"
 
 namespace mtm {
 
+// One sampled page and its PTE-scan hit count this interval, 0..num_scans.
+struct Sample {
+  VirtAddr page;
+  u32 hits = 0;
+
+  bool operator==(const Sample&) const = default;
+};
+
 struct Region {
-  u64 id = 0;  // stable identity across merges/splits (new ids for products)
-  VirtAddr start;
+  VirtAddr start;  // unique in the table: a region's identity
   VirtAddr end;
 
   // Profiling state (§5.2): number of page samples this region receives per
-  // interval, and the PTE-scan hit counts of the current interval's samples.
+  // interval, and the current interval's samples.
   u32 sample_quota = 1;
-  std::vector<VirtAddr> sampled_pages;
-  std::vector<u32> sample_hits;  // per sampled page, 0..num_scans
+  bool whi_initialized = false;
+  std::vector<Sample> samples;
 
   // Hotness indication (§6.1): HI of the last two intervals and the EMA WHI.
   double hi = 0.0;
   double prev_hi = 0.0;
   double whi = 0.0;
-  bool whi_initialized = false;
 
   // Multi-view support: per-socket hint-fault tallies (decayed), §6.2.
-  std::vector<u32> socket_hits;
+  std::array<u32, kMaxSockets> socket_hits{};
 
   Bytes bytes() const { return Bytes(end - start); }
   double HotnessVariance() const {
@@ -44,12 +52,36 @@ struct Region {
   }
 };
 
-// Ordered, non-overlapping regions keyed by start address.
+// The table moves regions when it compacts merges and inserts split halves;
+// a throwing move would make std::vector copy them instead, which drops the
+// sample vectors' capacity that MtmProfiler::MemoryOverheadBytes reads.
+static_assert(std::is_nothrow_move_constructible_v<Region>);
+
+// The metadata bytes one region is priced at in the profilers' memory
+// overhead (Table 5), per §5.3's accounting: begin address and length,
+// current and historical hotness, sample quota and bookkeeping. A modeled
+// constant, so the host layout of Region does not move a simulated output.
+inline constexpr u64 kModeledRegionBytes = 136;
+
+// Ordered, non-overlapping regions in one address-ordered vector.
 class RegionMap {
  public:
-  using Map = std::map<VirtAddr, Region>;
-  using iterator = Map::iterator;
-  using const_iterator = Map::const_iterator;
+  // Right halves cut off during a Walk; the table inserts them when the walk
+  // ends.
+  class Cuts {
+   public:
+    // Cuts `region` at `at` (the exclusive end of the left half) and returns
+    // the right half, valid until the next Cut; null, and no cut, if `at` is
+    // not strictly inside the region. Both halves keep the region's state
+    // (its hotness history, quota and socket tallies); the left keeps the
+    // samples. Cuts go in address order.
+    Region* Cut(Region& region, VirtAddr at);
+
+   private:
+    friend class RegionMap;
+    Cuts() = default;
+    std::vector<Region> rights_;
+  };
 
   // Carves [start, end) into regions of at most `region_bytes`, aligned so
   // every boundary except the ends is a multiple of region_bytes.
@@ -62,27 +94,32 @@ class RegionMap {
   std::size_t size() const { return regions_.size(); }
   bool empty() const { return regions_.empty(); }
 
-  iterator begin() { return regions_.begin(); }
-  iterator end() { return regions_.end(); }
-  const_iterator begin() const { return regions_.begin(); }
-  const_iterator end() const { return regions_.end(); }
+  auto begin() { return regions_.begin(); }
+  auto end() { return regions_.end(); }
+  auto begin() const { return regions_.begin(); }
+  auto end() const { return regions_.end(); }
+  Region& operator[](std::size_t i) { return regions_[i]; }
+  const Region& operator[](std::size_t i) const { return regions_[i]; }
 
-  // Region containing addr, or end().
-  iterator FindContaining(VirtAddr addr);
+  // Region containing addr, or null. A binary search.
+  Region* FindContaining(VirtAddr addr);
 
-  // Region starting at `start`, or end().
-  iterator Find(VirtAddr start) { return regions_.find(start); }
+  // Region starting at `start`, or null. A binary search.
+  Region* Find(VirtAddr start);
 
-  // Merges the region at `it` with its successor if they are adjacent.
-  // The merged region keeps `it`'s id; sample quotas are combined by the
-  // caller. Returns an iterator to the merged region; invalid if the
-  // successor is missing or not adjacent (returns end()).
-  iterator MergeWithNext(iterator it);
-
-  // Splits the region at `it` at `split_addr` (exclusive end of the first
-  // half). Returns iterators to both halves via out parameters. The first
-  // half keeps the region id; the second gets a fresh id.
-  bool Split(iterator it, VirtAddr split_addr, iterator* first, iterator* second);
+  // The one structural pass, in address order:
+  //  * visit(r) runs once on every region, before any test reads it;
+  //  * absorb(acc, next) runs on every adjacent pair (acc ends where next
+  //    starts) and returns whether it folded next's state into acc; the
+  //    table then extends acc over next and drops next, and acc goes on to
+  //    meet next's successor;
+  //  * close(r, cuts) runs once on every region whose merge run has ended,
+  //    and may cut it in two.
+  // Merges compact the table in place behind a write cursor, and the right
+  // halves are inserted in one backward pass after the walk, so neither
+  // operation costs O(regions) on its own.
+  template <typename Visit, typename Absorb, typename Close>
+  void Walk(Visit&& visit, Absorb&& absorb, Close&& close);
 
   // The huge-page-aligned midpoint for splitting `region`, per §5.4: the
   // middle of the region rounded to the nearest huge-page boundary if the
@@ -90,21 +127,42 @@ class RegionMap {
   // Returns 0 if the region cannot be split (single page).
   static VirtAddr SplitPoint(const Region& region);
 
-  u64 next_id() const { return next_id_; }
-
-  // Cumulative structural-operation counts over the map's lifetime, for
-  // observability: regions created by seeding, successful merges, and
-  // successful splits. Never reset.
-  u64 total_seeded() const { return total_seeded_; }
-  u64 total_merges() const { return total_merges_; }
-  u64 total_splits() const { return total_splits_; }
-
  private:
-  Map regions_;
-  u64 next_id_ = 1;
-  u64 total_seeded_ = 0;
-  u64 total_merges_ = 0;
-  u64 total_splits_ = 0;
+  void Insert(std::vector<Region> seeded);
+  void InsertCuts();
+
+  std::vector<Region> regions_;
+  Cuts cuts_;
 };
+
+template <typename Visit, typename Absorb, typename Close>
+void RegionMap::Walk(Visit&& visit, Absorb&& absorb, Close&& close) {
+  if (regions_.empty()) {
+    return;
+  }
+  std::size_t w = 0;  // the region whose merge run is open
+  visit(regions_[0]);
+  for (std::size_t r = 1; r < regions_.size(); ++r) {
+    Region& next = regions_[r];
+    visit(next);
+    Region& acc = regions_[w];
+    if (acc.end == next.start && absorb(acc, next)) {
+      acc.end = next.end;
+      continue;
+    }
+    close(acc, cuts_);
+    if (++w != r) {
+      regions_[w] = std::move(next);
+    }
+  }
+  close(regions_[w], cuts_);
+  regions_.erase(regions_.begin() + static_cast<std::ptrdiff_t>(w + 1), regions_.end());
+  InsertCuts();
+  // Merges shrink the table from its seeded size to a fraction of it; give
+  // the slack back once it is three quarters of the capacity.
+  if (regions_.capacity() > 4 * regions_.size()) {
+    regions_.shrink_to_fit();
+  }
+}
 
 }  // namespace mtm

@@ -14,6 +14,7 @@ Machine::Machine(u32 num_sockets, std::vector<ComponentSpec> components,
                  std::vector<std::vector<LinkSpec>> links)
     : num_sockets_(num_sockets), components_(std::move(components)) {
   MTM_CHECK_GT(num_sockets_, 0u);
+  MTM_CHECK_LE(num_sockets_, kMaxSockets);
   MTM_CHECK_EQ(links.size(), num_sockets_);
   for (auto& row : links) {
     MTM_CHECK_EQ(row.size(), components_.size());

@@ -13,6 +13,10 @@
 
 namespace mtm {
 
+// The most sockets a machine may have. Per-socket tallies that live in hot
+// per-region state are fixed arrays of this size.
+inline constexpr u32 kMaxSockets = 4;
+
 class Machine {
  public:
   Machine(u32 num_sockets, std::vector<ComponentSpec> components,

@@ -20,6 +20,7 @@
 #include "src/migration/mechanism.h"
 #include "src/mem/address_space.h"
 #include "src/profiling/mtm_profiler.h"
+#include "src/profiling/region.h"
 #include "src/workloads/workload.h"
 #include "src/workloads/workload_factory.h"
 #include "tests/gups_smoke.h"
@@ -330,7 +331,7 @@ TEST(DriverTest, OverBudgetVoltDbMatchesGolden) {
   std::ostringstream out;
   out << CsvHeader() << "\n" << Render(result, ReportFormat::kCsv) << "\n";
   out << std::hex;
-  for (const auto& [start, region] : profiler.regions()) {
+  for (const Region& region : profiler.regions()) {
     u64 whi_bits = 0;
     std::memcpy(&whi_bits, &region.whi, sizeof(whi_bits));
     out << region.start.value() << " " << region.end.value() << " " << region.sample_quota

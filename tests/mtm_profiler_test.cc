@@ -6,12 +6,14 @@
 #include <memory>
 #include <utility>
 
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/mem/address_space.h"
 #include "src/mem/frame_allocator.h"
 #include "src/mem/placement.h"
 #include "src/profiling/mtm_profiler.h"
+#include "src/profiling/region.h"
 #include "src/profiling/profiler.h"
 #include "src/sim/access_engine.h"
 #include "src/sim/clock.h"
@@ -107,7 +109,7 @@ TEST_F(MtmProfilerTest, InitialRegionsArePdeSized) {
   BuildMapped(MiB(16), ComponentId(0));
   auto profiler = MakeProfiler(DefaultConfig());
   EXPECT_EQ(profiler->regions().size(), MiB(16) / kHugePageBytes);
-  for (const auto& [start, region] : profiler->regions()) {
+  for (const Region& region : profiler->regions()) {
     EXPECT_EQ(region.bytes(), kHugePageBytes);
   }
 }
@@ -171,11 +173,95 @@ TEST_F(MtmProfilerTest, SplitsMixedRegions) {
     splits += out.regions_split;
   }
   EXPECT_GT(splits, 0u);
-  for (const auto& [rs, region] : profiler->regions()) {
+  for (const Region& region : profiler->regions()) {
     if (region.bytes() > kHugePageBytes) {
-      EXPECT_TRUE(IsHugeAligned(region.start) || rs == profiler->regions().begin()->first);
+      EXPECT_TRUE(IsHugeAligned(region.start) ||
+                  region.start == profiler->regions().begin()->start);
     }
   }
+}
+
+// The interval end is one walk that merges, splits and emits. After every
+// walk of a run that does all three, the policy view must be the region
+// table read in address order, field for field, and the table must stay
+// sorted, non-overlapping and inside its VMAs.
+TEST_F(MtmProfilerTest, EntriesMirrorTheTableAfterEveryWalk) {
+  const VirtAddr a = BuildMapped(MiB(32), ComponentId(0));
+  BuildMapped(MiB(16), ComponentId(0));
+  const MtmProfiler::Config config = DefaultConfig();
+  auto profiler = MakeProfiler(config);
+  Rng rng(0x51);
+  u64 merges = 0;
+  u64 splits = 0;
+  bool second_socket_preferred = false;
+  for (int interval = 0; interval < 24; ++interval) {
+    // A hot window of random page-aligned position and width, touched
+    // through the engine from a socket that alternates per 2 MiB, so armed
+    // hint faults attribute regions to both sockets.
+    const VirtAddr hot = a + PagesToBytes(rng.NextBounded(NumPages(MiB(24))));
+    const VirtAddr hot_end = hot + MiB(1 + rng.NextBounded(8));
+    profiler->OnIntervalStart();
+    for (u32 tick = 0; tick < 3; ++tick) {
+      for (VirtAddr p = hot; p < hot_end; p += kPageSize) {
+        engine_.Apply(p, false, static_cast<u32>(p.value() / kHugePageSize % 2));
+      }
+      profiler->OnScanTick(tick);
+    }
+    const ProfileOutput out = profiler->OnIntervalEnd();
+    merges += out.regions_merged;
+    splits += out.regions_split;
+
+    const RegionMap& table = profiler->regions();
+    ASSERT_EQ(out.entries.size(), table.size());
+    ASSERT_EQ(out.num_regions, table.size());
+    Bytes hot_bytes;
+    Bytes covered;
+    VirtAddr prev_end;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      const Region& r = table[i];
+      const HotnessEntry& e = out.entries[i];
+      EXPECT_EQ(e.start, r.start);
+      EXPECT_EQ(e.len, r.bytes());
+      EXPECT_EQ(e.hotness, r.whi);
+      EXPECT_EQ(e.latest_hi, r.hi);
+      EXPECT_EQ(e.prev_hi, r.prev_hi);
+      double skew = 0.0;
+      if (r.samples.size() >= 2) {
+        u32 lo = r.samples[0].hits;
+        u32 hi = r.samples[0].hits;
+        for (const Sample& sample : r.samples) {
+          lo = std::min(lo, sample.hits);
+          hi = std::max(hi, sample.hits);
+        }
+        skew = static_cast<double>(hi - lo) / static_cast<double>(config.num_scans);
+      }
+      EXPECT_EQ(e.skew, skew) << "region " << i << " interval " << interval;
+      u32 preferred = 0;
+      for (u32 socket = 0; socket < machine_.num_sockets(); ++socket) {
+        if (r.socket_hits[socket] > r.socket_hits[preferred]) {
+          preferred = socket;
+        }
+      }
+      EXPECT_EQ(e.preferred_socket, preferred);
+      second_socket_preferred |= preferred == 1;
+      if (r.whi >= config.hot_whi_threshold) {
+        hot_bytes += r.bytes();
+      }
+
+      ASSERT_LT(r.start, r.end);
+      ASSERT_LE(prev_end, r.start) << "unsorted or overlapping at region " << i;
+      prev_end = r.end;
+      const Vma* vma = address_space_.FindVma(r.start);
+      ASSERT_NE(vma, nullptr);
+      ASSERT_LE(r.end, vma->end()) << "region " << i << " crosses its VMA's end";
+      covered += r.bytes();
+    }
+    EXPECT_EQ(out.hot_bytes, hot_bytes);
+    EXPECT_EQ(covered, MiB(48));  // inside the VMAs and non-overlapping: all of them
+  }
+  EXPECT_GT(merges, 0u);
+  EXPECT_GT(splits, 0u);
+  EXPECT_TRUE(second_socket_preferred);
 }
 
 TEST_F(MtmProfilerTest, QuotaConservedAtBudget) {
@@ -186,7 +272,7 @@ TEST_F(MtmProfilerTest, QuotaConservedAtBudget) {
     RunInterval(*profiler, start + static_cast<u64>(i % 2) * MiB(16).value(), MiB(8));
   }
   u64 total_quota = 0;
-  for (const auto& [rs, region] : profiler->regions()) {
+  for (const Region& region : profiler->regions()) {
     EXPECT_GE(region.sample_quota, 1u);
     total_quota += region.sample_quota;
   }
@@ -216,7 +302,7 @@ TEST_F(MtmProfilerTest, OverBudgetQuotasEndAtOne) {
     for (u64 i = 0; i < 30; ++i) {
       RunInterval(*profiler, start + (i * stride.value()) % MiB(56).value(), hot);
       const bool over_budget = profiler->regions().size() >= profiler->NumPageSamples();
-      for (const auto& [rs, region] : profiler->regions()) {
+      for (const Region& region : profiler->regions()) {
         quota_above_one |= !over_budget && region.sample_quota > 1;
         if (over_budget) {
           EXPECT_EQ(region.sample_quota, 1u) << "stride " << stride << " interval " << i;

@@ -99,14 +99,12 @@ TEST(ParallelScanTest, RegionStateBitwiseEqualAcrossThreadCounts) {
   auto ita = a.begin();
   auto itb = b.begin();
   for (; ita != a.end(); ++ita, ++itb) {
-    const Region& ra = ita->second;
-    const Region& rb = itb->second;
+    const Region& ra = *ita;
+    const Region& rb = *itb;
     EXPECT_EQ(ra.start, rb.start);
     EXPECT_EQ(ra.end, rb.end);
-    EXPECT_EQ(ra.id, rb.id);
     EXPECT_EQ(ra.sample_quota, rb.sample_quota);
-    EXPECT_EQ(ra.sampled_pages, rb.sampled_pages);
-    EXPECT_EQ(ra.sample_hits, rb.sample_hits);
+    EXPECT_EQ(ra.samples, rb.samples);
     // Bitwise, not approximate: both profilers must evaluate the exact same
     // floating-point expressions per region.
     EXPECT_EQ(ra.hi, rb.hi);

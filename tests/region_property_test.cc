@@ -1,5 +1,5 @@
 // Property-based tests: seeded-random structural-operation sequences driven
-// through RegionMap (and whole profiling intervals driven through
+// through RegionMap's walk (and whole profiling intervals driven through
 // MtmProfiler) must preserve the §5 invariants at every step —
 // huge-page-aligned split boundaries, full address-space coverage with no
 // overlap, sample-quota conservation under the Equation-1 budget, and τm
@@ -29,17 +29,19 @@ constexpr VirtAddr kBase{0x5500'0000'0000ull};
 
 // Asserts the structural invariants over a map seeded as one contiguous
 // range [start, end): sorted, non-overlapping, gap-free coverage, page
-// alignment, unique ids.
-void CheckMapInvariants(const RegionMap& map, VirtAddr start, VirtAddr end) {
+// alignment, unique starts, and lookups that find every region.
+void CheckMapInvariants(RegionMap& map, VirtAddr start, VirtAddr end) {
   ASSERT_FALSE(map.empty());
-  std::set<u64> ids;
+  std::set<u64> starts;
   VirtAddr cursor = start;
-  for (const auto& [key, region] : map) {
-    ASSERT_EQ(key, region.start);
+  for (Region& region : map) {
+    ASSERT_EQ(map.Find(region.start), &region);
+    ASSERT_EQ(map.FindContaining(region.end - 1), &region);
     ASSERT_LT(region.start, region.end);
     ASSERT_EQ(region.start, cursor) << "gap or overlap before " << region.start.value();
     ASSERT_TRUE(IsPageAligned(region.start));
-    ASSERT_TRUE(ids.insert(region.id).second) << "duplicate region id " << region.id;
+    ASSERT_TRUE(starts.insert(region.start.value()).second)
+        << "duplicate region start " << region.start.value();
     cursor = region.end;
   }
   ASSERT_EQ(cursor, end) << "coverage does not reach the range end";
@@ -56,21 +58,21 @@ TEST(RegionPropertyTest, RandomSplitMergeSequencesPreserveInvariants) {
 
     // Quota model mirroring the profiler's merge/split arithmetic; the
     // conserved quantity is sum(quota) + pool.
-    for (auto& [key, region] : map) {
+    for (Region& region : map) {
       region.sample_quota = 1 + static_cast<u32>(rng.NextBounded(4));
     }
     u64 pool = 0;
     u64 conserved = pool;
-    for (const auto& [key, region] : map) {
+    for (const Region& region : map) {
       conserved += region.sample_quota;
     }
 
     for (int step = 0; step < 400; ++step) {
       const bool do_split = rng.NextBernoulli(0.5);
-      auto it = map.begin();
-      std::advance(it, static_cast<long>(rng.NextBounded(map.size())));
+      const std::size_t pick = rng.NextBounded(map.size());
+      const VirtAddr picked = map[pick].start;
       if (do_split) {
-        Region& region = it->second;
+        const Region& region = map[pick];
         const VirtAddr split_at = RegionMap::SplitPoint(region);
         if (split_at.IsZero()) {
           continue;  // single page: unsplittable
@@ -83,33 +85,54 @@ TEST(RegionPropertyTest, RandomSplitMergeSequencesPreserveInvariants) {
         if (region.bytes() > kHugePageBytes) {
           ASSERT_TRUE(IsHugeAligned(split_at));
         }
-        RegionMap::iterator first;
-        RegionMap::iterator second;
-        ASSERT_TRUE(map.Split(it, split_at, &first, &second));
-        const u32 q = first->second.sample_quota;
-        first->second.sample_quota = std::max<u32>(1, q / 2);
-        second->second.sample_quota = std::max<u32>(1, q - q / 2);
+        bool cut = false;
+        u32 q = 0;
+        map.Walk([](Region&) {}, [](Region&, Region&) { return false; },
+                 [&](Region& first, RegionMap::Cuts& cuts) {
+                   if (first.start != picked) {
+                     return;
+                   }
+                   Region* second = cuts.Cut(first, split_at);
+                   if (second == nullptr) {
+                     return;
+                   }
+                   cut = true;
+                   q = first.sample_quota;
+                   first.sample_quota = std::max<u32>(1, q / 2);
+                   second->sample_quota = std::max<u32>(1, q - q / 2);
+                 });
+        ASSERT_TRUE(cut);
+        const u32 halves = map[pick].sample_quota + map[pick + 1].sample_quota;
         // Splitting conserves quota except for the documented floor: a
         // quota-1 region yields two quota-1 halves, creating exactly one
         // unit that RedistributeQuota later reclaims against num_ps.
-        const u32 created = first->second.sample_quota + second->second.sample_quota - q;
+        const u32 created = halves - q;
         ASSERT_EQ(created, q == 1 ? 1u : 0u);
         conserved += created;
       } else {
-        auto next = std::next(it);
-        if (next == map.end()) {
+        if (pick + 1 == map.size()) {
           continue;
         }
-        const u32 combined = it->second.sample_quota + next->second.sample_quota;
-        auto merged = map.MergeWithNext(it);
-        ASSERT_TRUE(merged != map.end());
+        const u32 combined = map[pick].sample_quota + map[pick + 1].sample_quota;
+        bool merged = false;
+        map.Walk([](Region&) {},
+                 [&](Region& acc, Region&) {
+                   if (merged || acc.start != picked) {
+                     return false;
+                   }
+                   merged = true;
+                   return true;
+                 },
+                 [](Region&, RegionMap::Cuts&) {});
+        ASSERT_TRUE(merged);
+        ASSERT_EQ(map[pick].start, picked);
         const u32 new_quota = std::max<u32>(1, combined / 2);
-        merged->second.sample_quota = new_quota;
+        map[pick].sample_quota = new_quota;
         pool += combined - new_quota;  // freed samples join the pool (§5.2)
       }
       CheckMapInvariants(map, start, end);
       u64 total = pool;
-      for (const auto& [key, region] : map) {
+      for (const Region& region : map) {
         ASSERT_GE(region.sample_quota, 1u);
         total += region.sample_quota;
       }
@@ -197,7 +220,7 @@ TEST_F(ProfilerPropertyTest, QuotaConservedUnderEquation1AcrossRandomIntervals) 
     RunRandomInterval(*profiler, start, rng);
     // Overhead control re-normalizes every interval: sum(quota) == num_ps.
     u64 total = 0;
-    for (const auto& [key, region] : profiler->regions()) {
+    for (const Region& region : profiler->regions()) {
       ASSERT_GE(region.sample_quota, 1u);
       total += region.sample_quota;
     }

@@ -1,8 +1,10 @@
-// Tests for the region map: seeding, merge, split, huge-page alignment.
+// Tests for the region table: seeding, lookup, the merge/split walk,
+// huge-page alignment.
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
+#include "src/common/units.h"
 #include "src/profiling/region.h"
 
 namespace mtm {
@@ -10,12 +12,45 @@ namespace {
 
 constexpr VirtAddr kBase{0x5500'0000'0000ull};
 
+void NoVisit(Region&) {}
+bool NoAbsorb(Region&, Region&) { return false; }
+void NoClose(Region&, RegionMap::Cuts&) {}
+
+// Merges the region at `index` with its successor in one walk, as the
+// profilers do; returns whether they merged.
+bool MergeAt(RegionMap& map, std::size_t index) {
+  const VirtAddr start = map[index].start;
+  bool merged = false;
+  map.Walk(NoVisit,
+           [&](Region& acc, Region&) {
+             if (merged || acc.start != start) {
+               return false;
+             }
+             merged = true;
+             return true;
+           },
+           NoClose);
+  return merged;
+}
+
+// Cuts the region at `index` at `at` in one walk; returns whether it was cut.
+bool SplitAt(RegionMap& map, std::size_t index, VirtAddr at) {
+  const VirtAddr start = map[index].start;
+  bool cut = false;
+  map.Walk(NoVisit, NoAbsorb, [&](Region& r, RegionMap::Cuts& cuts) {
+    if (r.start == start) {
+      cut = cuts.Cut(r, at) != nullptr;
+    }
+  });
+  return cut;
+}
+
 TEST(RegionMapTest, SeedRangeDefaultSize) {
   RegionMap map;
   map.SeedRange(kBase, kBase + 8 * kHugePageSize, kHugePageBytes);
   EXPECT_EQ(map.size(), 8u);
   VirtAddr expected = kBase;
-  for (const auto& [start, region] : map) {
+  for (const Region& region : map) {
     EXPECT_EQ(region.start, expected);
     EXPECT_EQ(region.bytes(), kHugePageBytes);
     expected = region.end;
@@ -28,7 +63,7 @@ TEST(RegionMapTest, SeedRangeUnevenTail) {
   map.SeedRange(kBase, kBase + kHugePageSize + 3 * kPageSize, kHugePageBytes);
   EXPECT_EQ(map.size(), 2u);
   auto last = std::prev(map.end());
-  EXPECT_EQ(last->second.bytes(), 3 * kPageBytes);
+  EXPECT_EQ(last->bytes(), 3 * kPageBytes);
 }
 
 TEST(RegionMapTest, SeedUnalignedStartAlignsBoundaries) {
@@ -36,35 +71,37 @@ TEST(RegionMapTest, SeedUnalignedStartAlignsBoundaries) {
   map.SeedRange(kBase + 3 * kPageSize, kBase + 2 * kHugePageSize, kHugePageBytes);
   // First region ends at the next huge boundary so later regions align.
   auto it = map.begin();
-  EXPECT_EQ(it->second.end.OffsetIn(kHugePageSize), 0u);
+  EXPECT_EQ(it->end.OffsetIn(kHugePageSize), 0u);
 }
 
 TEST(RegionMapTest, FindContaining) {
   RegionMap map;
   map.SeedRange(kBase, kBase + 4 * kHugePageSize, kHugePageBytes);
-  auto it = map.FindContaining(kBase + kHugePageSize + 7);
-  ASSERT_NE(it, map.end());
-  EXPECT_EQ(it->second.start, kBase + kHugePageSize);
-  EXPECT_EQ(map.FindContaining(kBase - 1), map.end());
-  EXPECT_EQ(map.FindContaining(kBase + 4 * kHugePageSize), map.end());
+  Region* found = map.FindContaining(kBase + kHugePageSize + 7);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->start, kBase + kHugePageSize);
+  EXPECT_EQ(map.FindContaining(kBase - 1), nullptr);
+  EXPECT_EQ(map.FindContaining(kBase + 4 * kHugePageSize), nullptr);
+  EXPECT_EQ(map.Find(kBase + kHugePageSize), found);
+  EXPECT_EQ(map.Find(kBase + kHugePageSize + 7), nullptr);
 }
 
 TEST(RegionMapTest, MergeWithNext) {
   RegionMap map;
   map.SeedRange(kBase, kBase + 2 * kHugePageSize, kHugePageBytes);
-  u64 id = map.begin()->second.id;
-  auto merged = map.MergeWithNext(map.begin());
-  ASSERT_NE(merged, map.end());
+  const VirtAddr start = map.begin()->start;
+  ASSERT_TRUE(MergeAt(map, 0));
   EXPECT_EQ(map.size(), 1u);
-  EXPECT_EQ(merged->second.id, id);  // keeps the left id
-  EXPECT_EQ(merged->second.bytes(), 2 * kHugePageBytes);
+  const Region& merged = *map.begin();
+  EXPECT_EQ(merged.start, start);  // keeps the left identity
+  EXPECT_EQ(merged.bytes(), 2 * kHugePageBytes);
 }
 
 TEST(RegionMapTest, MergeNonAdjacentFails) {
   RegionMap map;
   map.SeedRange(kBase, kBase + kHugePageSize, kHugePageBytes);
   map.SeedRange(kBase + 4 * kHugePageSize, kBase + 5 * kHugePageSize, kHugePageBytes);
-  EXPECT_EQ(map.MergeWithNext(map.begin()), map.end());
+  EXPECT_FALSE(MergeAt(map, 0));
   EXPECT_EQ(map.size(), 2u);
 }
 
@@ -72,21 +109,50 @@ TEST(RegionMapTest, SplitCreatesFreshId) {
   RegionMap map;
   map.SeedRange(kBase, kBase + 4 * kHugePageSize, 4 * kHugePageBytes);
   ASSERT_EQ(map.size(), 1u);
-  u64 left_id = map.begin()->second.id;
-  RegionMap::iterator first;
-  RegionMap::iterator second;
-  ASSERT_TRUE(map.Split(map.begin(), kBase + 2 * kHugePageSize, &first, &second));
+  const VirtAddr left_start = map.begin()->start;
+  ASSERT_TRUE(SplitAt(map, 0, kBase + 2 * kHugePageSize));
   EXPECT_EQ(map.size(), 2u);
-  EXPECT_EQ(first->second.id, left_id);
-  EXPECT_NE(second->second.id, left_id);
-  EXPECT_EQ(first->second.end, second->second.start);
+  const Region& first = map[0];
+  const Region& second = map[1];
+  EXPECT_EQ(first.start, left_start);
+  EXPECT_NE(second.start, left_start);
+  EXPECT_EQ(first.end, second.start);
 }
 
 TEST(RegionMapTest, SplitRejectsBoundaries) {
   RegionMap map;
   map.SeedRange(kBase, kBase + kHugePageSize, kHugePageBytes);
-  EXPECT_FALSE(map.Split(map.begin(), kBase, nullptr, nullptr));
-  EXPECT_FALSE(map.Split(map.begin(), kBase + kHugePageSize, nullptr, nullptr));
+  EXPECT_FALSE(SplitAt(map, 0, kBase));
+  EXPECT_FALSE(SplitAt(map, 0, kBase + kHugePageSize));
+}
+
+// One walk merges two runs and cuts three regions; the cuts land between
+// and after the merge products, and every callback runs the documented
+// number of times.
+TEST(RegionMapTest, WalkMergesRunsAndInsertsCuts) {
+  RegionMap map;
+  map.SeedRange(kBase, kBase + 8 * kHugePageSize, kHugePageBytes);
+  auto at = [](u64 mib) { return kBase + MiB(mib); };
+  int visits = 0;
+  int closes = 0;
+  map.Walk([&](Region&) { ++visits; },
+           [&](Region&, Region& next) {
+             return next.start == at(2) || next.start == at(10) || next.start == at(12);
+           },
+           [&](Region& r, RegionMap::Cuts& cuts) {
+             ++closes;
+             if (r.start == at(4) || r.start == at(6) || r.start == at(14)) {
+               ASSERT_NE(cuts.Cut(r, r.start + MiB(1)), nullptr);
+             }
+           });
+  EXPECT_EQ(visits, 8);
+  EXPECT_EQ(closes, 5);
+  const u64 bounds[] = {0, 4, 5, 6, 7, 8, 14, 15, 16};
+  ASSERT_EQ(map.size(), 8u);
+  for (std::size_t i = 0; i < map.size(); ++i) {
+    EXPECT_EQ(map[i].start, at(bounds[i])) << i;
+    EXPECT_EQ(map[i].end, at(bounds[i + 1])) << i;
+  }
 }
 
 TEST(RegionMapTest, SplitPointHugeAligned) {
@@ -145,19 +211,17 @@ TEST(RegionMapPropertyTest, CoverageInvariant) {
   Rng rng(99);
   for (int step = 0; step < 500; ++step) {
     u64 pick = rng.NextBounded(map.size());
-    auto it = map.begin();
-    std::advance(it, static_cast<long>(pick));
     if (rng.NextBernoulli(0.5)) {
-      map.MergeWithNext(it);
+      MergeAt(map, pick);
     } else {
-      VirtAddr split = RegionMap::SplitPoint(it->second);
+      VirtAddr split = RegionMap::SplitPoint(map[pick]);
       if (!split.IsZero()) {
-        map.Split(it, split, nullptr, nullptr);
+        SplitAt(map, pick, split);
       }
     }
     // Invariant check.
     VirtAddr cursor = kBase;
-    for (const auto& [start, region] : map) {
+    for (const Region& region : map) {
       ASSERT_EQ(region.start, cursor);
       ASSERT_LT(region.start, region.end);
       cursor = region.end;
