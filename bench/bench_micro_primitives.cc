@@ -22,8 +22,10 @@
 #include "src/sim/counters.h"
 #include "src/sim/machine.h"
 #include "src/sim/page_table.h"
+#include "src/workloads/graph.h"
 #include "src/workloads/gups.h"
 #include "src/workloads/workload.h"
+#include "src/workloads/workload_factory.h"
 
 namespace mtm {
 namespace {
@@ -202,6 +204,37 @@ void BM_GupsBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 2048);
 }
 BENCHMARK(BM_GupsBatch);
+
+// The bfs-readonly graph: the Table 2 footprint at scale 128.
+constexpr Bytes kBfsReadonlyFootprint = kGraphFootprint / 128;
+
+void BM_CsrGraphBuild(benchmark::State& state) {
+  // GraphWorkload's vertex count: 512 simulated bytes a vertex at the
+  // default average degree of 15.5.
+  const u64 vertices = kBfsReadonlyFootprint.value() / 512;
+  for (auto _ : state) {
+    CsrGraph graph(vertices, 15.5, 0.6, 1);
+    benchmark::DoNotOptimize(graph.num_edges());
+  }
+}
+BENCHMARK(BM_CsrGraphBuild)->Unit(benchmark::kMillisecond);
+
+void BM_GraphNextBatch(benchmark::State& state) {
+  Workload::Params params;
+  params.footprint_bytes = kBfsReadonlyFootprint;
+  params.seed = 1;
+  GraphWorkload bfs(params, GraphWorkload::Options{});
+  AddressSpace as;
+  bfs.Build(as);
+  std::vector<MemAccess> buf(2048);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bfs.NextBatch(buf.data(), 2048));
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 2048);
+}
+BENCHMARK(BM_GraphNextBatch);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfSampler zipf(1'000'000, 0.99);

@@ -1,7 +1,9 @@
 #include "src/workloads/graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
@@ -22,43 +24,53 @@ constexpr u64 kStateStride = 8;
 }  // namespace
 
 CsrGraph::CsrGraph(u64 num_vertices, double avg_degree, double skew_theta, u64 seed)
-    : num_vertices_(num_vertices) {
+    : num_vertices_(num_vertices), offsets_(num_vertices + 1, 0) {
   MTM_CHECK_GT(num_vertices, 1ull);
   const u64 target_edges = static_cast<u64>(static_cast<double>(num_vertices) * avg_degree);
 
   // Analytic power-law degrees: deg(rank r) ~ 1/(r+1)^theta, scaled to the
-  // edge target; vertex ids are a hash of the rank so hubs scatter.
-  std::vector<u32> degree(num_vertices, 0);
+  // edge target. Vertex id == degree rank: hubs occupy low ids, as in
+  // degree-ordered CSR layouts; their offsets, adjacency runs, and state
+  // cluster. offsets_[r + 1] holds rank r's weight (as double bits) until
+  // the sum over all ranks is known, then its degree, then the prefix sum.
   double norm = 0.0;
-  // Harmonic-like normalization over a subsample for speed, then exact scale.
   for (u64 r = 0; r < num_vertices; ++r) {
-    norm += 1.0 / std::pow(static_cast<double>(r + 1), skew_theta);
+    double weight = 1.0 / std::pow(static_cast<double>(r + 1), skew_theta);
+    norm += weight;
+    offsets_[r + 1] = std::bit_cast<u64>(weight);
   }
   u64 assigned = 0;
   for (u64 r = 0; r < num_vertices; ++r) {
-    // Vertex id == degree rank: hubs occupy low ids, as in degree-ordered
-    // CSR layouts; their offsets, adjacency runs, and state cluster.
-    double share = (1.0 / std::pow(static_cast<double>(r + 1), skew_theta)) / norm;
-    u32 d = static_cast<u32>(share * static_cast<double>(target_edges));
-    degree[r] += d;
-    assigned += d;
+    double share = std::bit_cast<double>(offsets_[r + 1]) / norm;
+    offsets_[r + 1] = static_cast<u32>(share * static_cast<double>(target_edges));
+    assigned += offsets_[r + 1];
   }
   // Distribute rounding remainder one edge at a time.
   Rng rng(seed);
-  while (assigned < target_edges) {
-    ++degree[rng.NextBounded(num_vertices)];
-    ++assigned;
+  for (; assigned < target_edges; ++assigned) {
+    ++offsets_[rng.NextBounded(num_vertices) + 1];
   }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
 
-  offsets_.resize(num_vertices + 1);
-  offsets_[0] = 0;
-  for (u64 v = 0; v < num_vertices; ++v) {
-    offsets_[v + 1] = offsets_[v] + degree[v];
+  // The edge targets continue the same stream, one Next() per edge. The
+  // last checkpoint sits at or past num_edges, where a trailing zero-degree
+  // vertex starts.
+  checkpoints_.reserve(num_edges() / kEdgesPerCheckpoint + 1);
+  while (checkpoints_.size() <= num_edges() / kEdgesPerCheckpoint) {
+    checkpoints_.push_back(rng);
+    for (u64 i = 0; i < kEdgesPerCheckpoint; ++i) {
+      rng.Next();
+    }
   }
-  edges_.resize(offsets_[num_vertices]);
-  for (u64 i = 0; i < edges_.size(); ++i) {
-    edges_[i] = static_cast<u32>(rng.NextBounded(num_vertices));
+}
+
+CsrGraph::EdgeCursor CsrGraph::EdgesFrom(u64 index) const {
+  MTM_CHECK_LT(index / kEdgesPerCheckpoint, checkpoints_.size());
+  EdgeCursor cursor{checkpoints_[index / kEdgesPerCheckpoint], num_vertices_};
+  for (u64 i = 0; i < index % kEdgesPerCheckpoint; ++i) {
+    cursor.rng.Next();
   }
+  return cursor;
 }
 
 GraphWorkload::GraphWorkload(Params params, Options options)
@@ -71,8 +83,6 @@ GraphWorkload::GraphWorkload(Params params, Options options)
   MTM_CHECK_GT(num_vertices_, 16ull);
   graph_ = std::make_unique<CsrGraph>(num_vertices_, options_.avg_degree, options_.skew_theta,
                                       params_.seed ^ 0x9a4a9);
-  visited_.assign(num_vertices_, 0);
-  dist_.assign(num_vertices_, ~u32{0});
 }
 
 void GraphWorkload::Build(AddressSpace& address_space) {
@@ -87,30 +97,34 @@ void GraphWorkload::Build(AddressSpace& address_space) {
 }
 
 void GraphWorkload::StartTraversal() {
-  std::fill(visited_.begin(), visited_.end(), 0);
-  std::fill(dist_.begin(), dist_.end(), ~u32{0});
   frontier_.clear();
   // Bias sources toward hubs so traversals overlap: the hot adjacency lists
   // stay hot across restarts, as in repeated-query graph serving.
-  u64 src = rng_.NextBounded(std::max<u64>(1, num_vertices_ / 16));
-  visited_[src] = 1;
-  dist_[src] = 0;
+  u32 src = static_cast<u32>(rng_.NextBounded(std::max<u64>(1, num_vertices_ / 16)));
+  // BFS never reads a distance and SSSP never reads a visited bit, so each
+  // keeps only its own state.
+  if (options_.algorithm == Algorithm::kBfs) {
+    visited_.assign(num_vertices_, false);
+    visited_[src] = true;
+  } else {
+    dist_.assign(num_vertices_, ~u32{0});
+    dist_[src] = 0;
+  }
   frontier_.push_back(src);
-  ++traversals_;
-  sssp_round_ = 0;
 }
 
-u32 GraphWorkload::ExpandVertex(u64 v, MemAccess* out, u32 capacity) {
+u32 GraphWorkload::ExpandVertex(u32 v, MemAccess* out, u32 capacity) {
   // Real traversal with emitted loads: offset lookup, edge-array scan (one
   // access per cache line of edge records), and per-neighbor state checks.
+  // capacity >= 1: NextBatch only expands while room is left.
   u32 filled = 0;
   u32 thread = NextThread();
-  if (filled < capacity) {
-    out[filled++] = MemAccess{offsets_start_ + v * kOffsetStride, thread, false};
-  }
+  out[filled++] = MemAccess{offsets_start_ + v * kOffsetStride, thread, false};
+  const bool bfs = options_.algorithm == Algorithm::kBfs;
   u64 off = graph_->OffsetOf(v);
   u64 deg = graph_->DegreeOf(v);
-  u64 relaxed = dist_[v] == ~u32{0} ? 0u : dist_[v] + 1;
+  u64 relaxed = bfs || dist_[v] == ~u32{0} ? 0u : dist_[v] + 1;
+  CsrGraph::EdgeCursor edges = graph_->EdgesFrom(off);
   for (u64 i = 0; i < deg && filled < capacity; ++i) {
     if (i % options_.edges_per_access == 0) {
       out[filled++] = MemAccess{edges_start_ + (off + i) * kEdgeStride, thread, false};
@@ -118,19 +132,16 @@ u32 GraphWorkload::ExpandVertex(u64 v, MemAccess* out, u32 capacity) {
         break;
       }
     }
-    u32 w = graph_->Edge(off + i);
+    u32 w = edges.Next();
     out[filled++] = MemAccess{state_start_ + w * kStateStride, thread, false};
-    if (options_.algorithm == Algorithm::kBfs) {
+    if (bfs) {
       if (!visited_[w]) {
-        visited_[w] = 1;
-        dist_[w] = static_cast<u32>(relaxed);
+        visited_[w] = true;
         frontier_.push_back(w);
       }
-    } else {
-      if (relaxed != 0 && relaxed < dist_[w]) {
-        dist_[w] = static_cast<u32>(relaxed);
-        frontier_.push_back(w);
-      }
+    } else if (relaxed != 0 && relaxed < dist_[w]) {
+      dist_[w] = static_cast<u32>(relaxed);
+      frontier_.push_back(w);
     }
   }
   return filled;
@@ -142,11 +153,11 @@ u32 GraphWorkload::NextBatch(MemAccess* out, u32 n) {
     if (frontier_.empty()) {
       StartTraversal();
     }
-    u64 v = frontier_.front();
+    u32 v = frontier_.front();
     frontier_.pop_front();
     filled += ExpandVertex(v, out + filled, n - filled);
-    // Capacity-truncated expansions simply re-expand later traversals; the
-    // access distribution is what matters, not exact traversal order.
+    // A capacity-truncated expansion drops the rest of the vertex's edges;
+    // the access distribution is what matters, not exact traversal order.
   }
   return filled;
 }

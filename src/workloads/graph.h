@@ -2,9 +2,9 @@
 // (Table 2: parallel traversal/shortest-path on a 0.9B-node, 14B-edge graph,
 // 525 GB, read-only).
 //
-// A real CSR graph is generated (power-law-ish degrees via zipf-sampled
-// endpoints, RMAT-like skew) and real BFS / Bellman-Ford-style SSSP rounds
-// are executed over it; the traversal's loads of the offset, edge, and
+// A real CSR graph is generated (analytic power-law degrees with hubs at low
+// ids, uniform random endpoints) and real BFS / Bellman-Ford-style SSSP
+// rounds are executed over it; the traversal's loads of the offset, edge, and
 // per-vertex state arrays are emitted as simulated memory accesses at the
 // arrays' simulated addresses. Hot structure emerges naturally: high-degree
 // vertices' adjacency lists and the frontier state are touched far more
@@ -15,29 +15,44 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/mem/address_space.h"
 #include "src/workloads/workload.h"
 
 namespace mtm {
 
-// Compressed-sparse-row graph with skewed degree distribution.
+// Compressed-sparse-row graph with skewed degree distribution. The edge
+// targets are one sequential Rng stream; instead of storing them, the graph
+// keeps the stream's state every kEdgesPerCheckpoint edges and regenerates
+// a vertex's edges on demand (DESIGN.md "Graph host state").
 class CsrGraph {
  public:
-  // Builds a graph with ~avg_degree * num_vertices edges; hub vertices are
-  // chosen by zipf so degree mass concentrates (RMAT-like skew).
+  static constexpr u64 kEdgesPerCheckpoint = 128;
+
+  // Reads the edge stream forward from some index, one target per Next().
+  struct EdgeCursor {
+    u32 Next() { return static_cast<u32>(rng.NextBounded(num_vertices)); }
+    Rng rng;
+    u64 num_vertices;
+  };
+
+  // Builds a graph with ~avg_degree * num_vertices edges; vertex r gets a
+  // degree share of 1/(r+1)^skew_theta, so hubs occupy low ids (RMAT-like
+  // skew).
   CsrGraph(u64 num_vertices, double avg_degree, double skew_theta, u64 seed);
 
   u64 num_vertices() const { return num_vertices_; }
-  u64 num_edges() const { return edges_.size(); }
+  u64 num_edges() const { return offsets_[num_vertices_]; }
   u64 OffsetOf(u64 v) const { return offsets_[v]; }
   u64 DegreeOf(u64 v) const { return offsets_[v + 1] - offsets_[v]; }
-  u32 Edge(u64 index) const { return edges_[index]; }
+  // A cursor whose first Next() is edge `index`; index may equal num_edges().
+  EdgeCursor EdgesFrom(u64 index) const;
 
  private:
   u64 num_vertices_;
-  std::vector<u64> offsets_;  // size num_vertices + 1
-  std::vector<u32> edges_;
+  std::vector<u64> offsets_;      // size num_vertices + 1
+  std::vector<Rng> checkpoints_;  // [k]: state before edge k * kEdgesPerCheckpoint
 };
 
 class GraphWorkload : public Workload {
@@ -65,7 +80,7 @@ class GraphWorkload : public Workload {
  private:
   void StartTraversal();
   // Expands one vertex, appending its accesses; returns accesses emitted.
-  u32 ExpandVertex(u64 v, MemAccess* out, u32 capacity);
+  u32 ExpandVertex(u32 v, MemAccess* out, u32 capacity);
 
   Options options_;
   std::unique_ptr<CsrGraph> graph_;
@@ -75,11 +90,9 @@ class GraphWorkload : public Workload {
   VirtAddr edges_start_;
   VirtAddr state_start_;  // visited/distance array
 
-  std::vector<u8> visited_;
-  std::vector<u32> dist_;
-  std::deque<u64> frontier_;
-  u64 traversals_ = 0;
-  u32 sssp_round_ = 0;
+  std::vector<bool> visited_;  // BFS only: a bitset
+  std::vector<u32> dist_;      // SSSP only
+  std::deque<u32> frontier_;
 };
 
 }  // namespace mtm

@@ -1,8 +1,14 @@
 // Tests for the Table 2 workload generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
 #include <map>
+#include <utility>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
 #include "src/mem/address_space.h"
@@ -213,8 +219,9 @@ TEST(CsrGraphTest, StructureValid) {
     prev = graph.OffsetOf(v);
     EXPECT_EQ(graph.OffsetOf(v) + graph.DegreeOf(v), graph.OffsetOf(v + 1));
   }
+  CsrGraph::EdgeCursor edges = graph.EdgesFrom(0);
   for (u64 i = 0; i < std::min<u64>(graph.num_edges(), 10000); ++i) {
-    EXPECT_LT(graph.Edge(i), graph.num_vertices());
+    EXPECT_LT(edges.Next(), graph.num_vertices());
   }
 }
 
@@ -279,6 +286,157 @@ TEST(GraphWorkloadTest, EdgeArrayDominatesTraffic) {
     edge_hits += edges->Contains(a.addr);
   }
   EXPECT_GT(edge_hits, buf.size() / 12);
+}
+
+// A seed whose CsrGraph(1280, 1.0, 0.99) leaves the last vertex no edges.
+constexpr u64 kExactSeed = 3;
+
+// A CSR graph built straight from its definition: the analytic degrees, the
+// rounding remainder spread by sequential draws, then one draw per edge.
+struct ReferenceGraph {
+  std::vector<u64> degree;
+  std::vector<u32> edges;
+};
+
+ReferenceGraph BuildReferenceGraph(u64 n, double avg_degree, double theta, u64 seed) {
+  const u64 target = static_cast<u64>(static_cast<double>(n) * avg_degree);
+  double norm = 0.0;
+  for (u64 r = 0; r < n; ++r) {
+    norm += 1.0 / std::pow(static_cast<double>(r + 1), theta);
+  }
+  ReferenceGraph ref;
+  u64 assigned = 0;
+  for (u64 r = 0; r < n; ++r) {
+    double share = (1.0 / std::pow(static_cast<double>(r + 1), theta)) / norm;
+    ref.degree.push_back(static_cast<u32>(share * static_cast<double>(target)));
+    assigned += ref.degree.back();
+  }
+  Rng rng(seed);
+  for (; assigned < target; ++assigned) {
+    ++ref.degree[rng.NextBounded(n)];
+  }
+  for (u64 i = 0; i < target; ++i) {
+    ref.edges.push_back(static_cast<u32>(rng.NextBounded(n)));
+  }
+  return ref;
+}
+
+// The checkpointed edge stream equals a plain sequential replay: at a
+// checkpoint, on either side of one, at the last edge, and read through.
+void ExpectMatchesReference(const CsrGraph& graph, const ReferenceGraph& ref) {
+  ASSERT_EQ(graph.num_edges(), ref.edges.size());
+  for (u64 v = 0; v < graph.num_vertices(); ++v) {
+    ASSERT_EQ(graph.DegreeOf(v), ref.degree[v]) << v;
+  }
+  const u64 last = graph.num_edges() - 1;
+  for (u64 i : {u64{0}, u64{127}, u64{128}, u64{129}, last}) {
+    EXPECT_EQ(graph.EdgesFrom(i).Next(), ref.edges[i]) << i;
+  }
+  CsrGraph::EdgeCursor cursor = graph.EdgesFrom(0);
+  for (u64 i = 0; i < graph.num_edges(); ++i) {
+    ASSERT_EQ(cursor.Next(), ref.edges[i]) << i;
+  }
+}
+
+TEST(CsrGraphTest, EdgesMatchSequentialStream) {
+  ExpectMatchesReference(CsrGraph(10000, 15.5, 0.6, 7), BuildReferenceGraph(10000, 15.5, 0.6, 7));
+  // 1280 edges fill exactly ten checkpoint spans and the last vertex has no
+  // edges: its cursor starts at num_edges, on the extra checkpoint.
+  CsrGraph exact(1280, 1.0, 0.99, kExactSeed);
+  ASSERT_EQ(exact.num_edges() % CsrGraph::kEdgesPerCheckpoint, 0u);
+  ASSERT_EQ(exact.DegreeOf(exact.num_vertices() - 1), 0u);
+  ExpectMatchesReference(exact, BuildReferenceGraph(1280, 1.0, 0.99, kExactSeed));
+  // EdgesFrom CHECK-fails when the checkpoint it starts from is missing.
+  exact.EdgesFrom(exact.num_edges());
+}
+
+// Replays BFS from the workload's own access stream with a reference
+// visited set: each offset load expands the head of the reference frontier,
+// and an empty reference frontier starts the next traversal. The visited
+// bitset's word boundary (63 | 64) and its last vertex are each expanded at
+// most once per traversal.
+TEST(GraphWorkloadTest, BfsExpandsEachVertexOncePerTraversal) {
+  GraphWorkload bfs(SmallParams(MiB(1)), GraphWorkload::Options{});
+  AddressSpace as;
+  bfs.Build(as);
+  const Vma& offsets = as.vma(0);
+  const Vma& state = as.vma(2);
+  const u64 n = bfs.graph().num_vertices();
+  const std::vector<u64> watched = {63, 64, n - 1};
+  std::vector<bool> visited;
+  std::deque<u64> frontier;
+  std::map<u64, u64> expansions;        // in the current traversal
+  std::map<u64, u64> total_expansions;  // over the run
+  u64 traversals = 0;
+  std::vector<MemAccess> buf(4096);
+  for (int batch = 0; batch < 64; ++batch) {
+    ASSERT_EQ(bfs.NextBatch(buf.data(), buf.size()), buf.size());
+    for (const MemAccess& a : buf) {
+      if (offsets.Contains(a.addr)) {
+        const u64 v = (a.addr - offsets.start) / 8;
+        if (frontier.empty()) {
+          ++traversals;
+          visited.assign(n, false);
+          visited[v] = true;
+          expansions.clear();
+        } else {
+          ASSERT_EQ(v, frontier.front()) << "traversal " << traversals;
+          frontier.pop_front();
+        }
+        if (std::find(watched.begin(), watched.end(), v) != watched.end()) {
+          EXPECT_EQ(++expansions[v], 1u) << "vertex " << v << " traversal " << traversals;
+          ++total_expansions[v];
+        }
+      } else if (state.Contains(a.addr)) {
+        const u64 w = (a.addr - state.start) / 8;
+        if (!visited[w]) {
+          visited[w] = true;
+          frontier.push_back(w);
+        }
+      }
+    }
+  }
+  EXPECT_GE(traversals, 3u);
+  for (u64 v : watched) {
+    EXPECT_GE(total_expansions[v], 2u) << v;
+  }
+}
+
+// The bfs and sssp access-stream hashes at 64 MiB, seed 42. With unit
+// weights in FIFO order SSSP relaxes exactly the vertices BFS discovers, so
+// the two streams are the same.
+constexpr u64 kBfsStreamHash = 0x9f286f29e39061f6ull;
+constexpr u64 kSsspStreamHash = 0x9f286f29e39061f6ull;
+
+// FNV-1a over the first `count` accesses, drawn in batches of 4096.
+u64 HashAccessStream(Workload& w, u64 count) {
+  std::vector<MemAccess> buf(4096);
+  u64 hash = 0xcbf29ce484222325ull;
+  for (u64 done = 0; done < count; done += buf.size()) {
+    EXPECT_EQ(w.NextBatch(buf.data(), buf.size()), buf.size());
+    for (const MemAccess& a : buf) {
+      for (u64 word : {a.addr.value(), u64{a.thread}, u64{a.is_write}}) {
+        hash = (hash ^ word) * 0x100000001b3ull;
+      }
+    }
+  }
+  return hash;
+}
+
+// Pins the graph workloads' access streams: a host-side change to the graph
+// code must leave these hashes, recorded before edges were regenerated from
+// checkpoints, unchanged.
+TEST(GraphWorkloadTest, AccessStreamsArePinned) {
+  for (auto [algorithm, expected] :
+       {std::pair{GraphWorkload::Algorithm::kBfs, kBfsStreamHash},
+        std::pair{GraphWorkload::Algorithm::kSssp, kSsspStreamHash}}) {
+    GraphWorkload::Options options;
+    options.algorithm = algorithm;
+    GraphWorkload graph(SmallParams(MiB(64)), options);
+    AddressSpace as;
+    graph.Build(as);
+    EXPECT_EQ(HashAccessStream(graph, u64{1} << 21), expected) << graph.name();
+  }
 }
 
 TEST(SparkTest, PhasesAlternate) {
