@@ -6,12 +6,17 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
+#include "src/core/driver.h"
+#include "src/core/experiment.h"
+#include "src/core/solution.h"
 #include "src/mem/address_space.h"
 #include "src/mem/frame_allocator.h"
 #include "src/mem/placement.h"
@@ -22,6 +27,7 @@
 #include "src/sim/counters.h"
 #include "src/sim/machine.h"
 #include "src/sim/page_table.h"
+#include "src/sim/pebs.h"
 #include "src/workloads/graph.h"
 #include "src/workloads/gups.h"
 #include "src/workloads/workload.h"
@@ -146,6 +152,90 @@ void BM_AccessEngineApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AccessEngineApply);
+
+// A workload's recorded access stream over the mtm stack at a perfbench
+// scale, with its working set faulted in as RunSimulation does. Built once
+// per stream and kept while the next benchmark call replays the same one.
+struct ReplayFixture {
+  ReplayFixture(const std::string& workload_name, u64 scale) : name(workload_name) {
+    ExperimentConfig config;
+    config.sim_scale = scale;
+    config.seed = 42;
+    workload = MakeWorkload(name, scale, config.num_threads, config.seed);
+    solution = std::make_unique<Solution>(SolutionKind::kMtm, config, *workload);
+    PrefaultWorkingSet(*solution);
+    stream.resize(kStreamLength);
+    for (u32 i = 0; i < kStreamLength; i += kBatch) {
+      MTM_CHECK_EQ(workload->NextBatch(stream.data() + i, kBatch), kBatch);
+    }
+  }
+
+  static constexpr u32 kBatch = 2048;  // RunSimulation's batch
+  static constexpr u32 kStreamLength = kBatch * 256;
+
+  std::string name;
+  std::unique_ptr<Workload> workload;
+  std::unique_ptr<Solution> solution;
+  std::vector<MemAccess> stream;
+};
+
+ReplayFixture& Replay(const std::string& workload_name, u64 scale) {
+  static std::unique_ptr<ReplayFixture> fixture;
+  if (fixture == nullptr || fixture->name != workload_name) {
+    fixture.reset();  // one stack in memory at a time
+    fixture = std::make_unique<ReplayFixture>(workload_name, scale);
+  }
+  return *fixture;
+}
+
+// The replay step of the three perfbench workloads: gups's uniform updates
+// over huge pages, bfs's frontier walk over a graph, and voltdb's zipfian
+// records over 37.5 GiB of base pages, whose ~56 MB of leaf entries miss
+// the cache on nearly every translation.
+void BM_ApplyBatch(benchmark::State& state, const char* workload_name, u64 scale) {
+  ReplayFixture& replay = Replay(workload_name, scale);
+  AccessEngine& engine = replay.solution->engine();
+  const u32 thread_sockets = replay.solution->thread_sockets();
+  u32 next = 0;
+  for (auto _ : state) {
+    engine.ApplyBatch(replay.stream.data() + next, ReplayFixture::kBatch, thread_sockets);
+    next = (next + ReplayFixture::kBatch) % ReplayFixture::kStreamLength;
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * ReplayFixture::kBatch);
+}
+BENCHMARK_CAPTURE(BM_ApplyBatch, gups, "gups", 512);
+BENCHMARK_CAPTURE(BM_ApplyBatch, bfs, "bfs", 128);
+BENCHMARK_CAPTURE(BM_ApplyBatch, voltdb, "voltdb", 8);
+
+// Initialization fault-in of a voltdb-sized (37.5 GiB) base-page VMA, with
+// PEBS sampling on as under mtm: ~9.8M pages placed by first touch.
+void BM_Prefault(benchmark::State& state) {
+  Machine machine = Machine::OptaneFourTier(8);
+  AddressSpace as;
+  const Vma& vma = as.vma(as.Allocate(GiB(300) / 8, /*thp=*/false, "bench"));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto pt = std::make_unique<PageTable>();
+    auto frames = std::make_unique<FrameAllocator>(machine);
+    SimClock clock;
+    MemCounters counters(machine.num_components());
+    PebsEngine pebs(machine, PebsEngine::Config{});
+    pebs.SetEnabled(true);
+    PlacementFaultHandler handler(machine, *pt, *frames, as, PlacementPolicy::kFirstTouch);
+    AccessEngine engine(machine, *pt, clock, counters, AccessEngine::Config{});
+    engine.set_fault_handler(&handler);
+    engine.set_pebs(&pebs);
+    state.ResumeTiming();
+    engine.Prefault(vma.start, vma.len, /*huge=*/false, /*first_thread=*/0,
+                    /*thread_sockets=*/1);
+    state.PauseTiming();
+    pt.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(vma.len / kPageBytes));
+}
+BENCHMARK(BM_Prefault)->Unit(benchmark::kMillisecond);
 
 // Host cost of one MTM profiling interval's bookkeeping over ~16k regions
 // (voltdb at scale 8 keeps ~15.5k against ~70 samples): OnIntervalStart

@@ -28,10 +28,7 @@ void PrefaultWorkingSet(Solution& solution) {
     if (!vma.prefault) {
       continue;  // grows at runtime (e.g. append-only history)
     }
-    const u32 first = rr;
-    solution.engine().Prefault(vma.start, vma.len, vma.thp, [&solution, first](u64 i) {
-      return solution.SocketOfThread(first + static_cast<u32>(i));
-    });
+    solution.engine().Prefault(vma.start, vma.len, vma.thp, rr, solution.thread_sockets());
     rr += static_cast<u32>(vma.len / (vma.thp ? kHugePageBytes : kPageBytes));
   }
 }
@@ -194,10 +191,7 @@ RunResult RunSimulation(Workload& workload, Solution& solution,
       apply_due_faults();
       while (clock.now() < tick_end) {
         u32 n = workload.NextBatch(batch.data(), kBatch);
-        for (u32 i = 0; i < n; ++i) {
-          engine.Apply(batch[i].addr, batch[i].is_write,
-                       solution.SocketOfThread(batch[i].thread));
-        }
+        engine.ApplyBatch(batch.data(), n, solution.thread_sockets());
         result.total_accesses += n;
         if (solution.migration() != nullptr) {
           solution.migration()->Poll();

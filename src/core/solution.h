@@ -112,9 +112,9 @@ class Solution {
   // run would stop on an unserviceable page fault.
   Status CheckFootprintFits() const;
 
-  u32 SocketOfThread(u32 thread) const {
-    return config_.spread_threads ? thread % machine_->num_sockets() : 0;
-  }
+  // The sockets threads spread over, and the one thread `thread` runs on.
+  u32 thread_sockets() const { return config_.spread_threads ? machine_->num_sockets() : 1; }
+  u32 SocketOfThread(u32 thread) const { return thread % thread_sockets(); }
 
  private:
   SolutionKind kind_;

@@ -88,6 +88,7 @@ void Machine::SetBandwidthDerate(ComponentId id, double factor) {
   MTM_CHECK_LT(id.value(), components_.size());
   MTM_CHECK(factor > 0.0 && factor <= 1.0) << "derate factor out of (0,1]: " << factor;
   health_[id].bandwidth_derate = factor;
+  ++link_generation_;
   for (u32 s = 0; s < num_sockets_; ++s) {
     links_[s][id].bandwidth_gbps = base_links_[s][id].bandwidth_gbps * factor;
   }

@@ -78,6 +78,9 @@ class Machine {
   // their residents. Latency and tier ordering are unchanged — a degraded
   // device is still the same distance away, it just moves data slower.
   void SetBandwidthDerate(ComponentId id, double factor);  // in (0, 1]
+  // Counts the link changes so far (each SetBandwidthDerate is one), so a
+  // cache of per-link costs can tell when to rebuild.
+  u64 link_generation() const { return link_generation_; }
   void SetOffline(ComponentId id, bool offline);
   bool IsOffline(ComponentId id) const { return health_[id].offline; }
   double BandwidthDerate(ComponentId id) const { return health_[id].bandwidth_derate; }
@@ -99,6 +102,7 @@ class Machine {
   std::vector<IdMap<ComponentId, LinkSpec>> links_;       // [socket][component]
   std::vector<IdMap<ComponentId, LinkSpec>> base_links_;  // pristine copy for derates
   IdMap<ComponentId, ComponentHealth> health_;
+  u64 link_generation_ = 0;
   std::vector<std::vector<ComponentId>> tier_order_;  // [socket] -> ranked components
   std::vector<IdMap<ComponentId, TierId>> tier_rank_;  // [socket][component] -> rank
 };
