@@ -101,6 +101,14 @@ class ComponentId : public strong_internal::Ordinal<ComponentId, u32> {
 
 inline constexpr ComponentId kInvalidComponent{~u32{0}};
 
+// One application access: the address, the issuing thread and its kind.
+// Workloads produce streams of these; the access engine replays them.
+struct MemAccess {
+  VirtAddr addr;
+  u32 thread = 0;
+  bool is_write = false;
+};
+
 inline constexpr u64 kPageShift = 12;
 inline constexpr u64 kPageSize = u64{1} << kPageShift;  // 4 KiB base page.
 inline constexpr u64 kHugePageShift = 21;
